@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Decision subcommands exit 0 on a positive decision, 1 on a negative one,
-2 on input errors, and 3 when the search budget ran out (a non-answer,
-deliberately distinct from "no").  Reports go to stdout as JSON (or CSV
-for sweeps), graphs are written to files, diagnostics to stderr.
+2 on input errors, 3 when the search budget ran out (a non-answer,
+deliberately distinct from "no"), and 4 on an internal error, so that a
+crash never reads as "no".  Reports go to stdout as JSON (or CSV for
+sweeps), graphs are written to files, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .csma import parse_theta, starvation_report, theta_sweep, throughput, throughput_limit
 from .extendability import is_one_extendable, param_one_extendability
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -359,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

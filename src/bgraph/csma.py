@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _closed_non_neighborhood
 from .mis import independence_polynomial, mis_counts
 
 
@@ -44,10 +44,7 @@ class LimitVector:
 
 
 def _polynomial_without_closed_neighborhood(g: Graph, v: int, budget: int | None):
-    closed = g.adj[v] | (1 << v)
-    keep = [u for u in range(g.n) if not closed >> u & 1]
-    sub, _ = induced_subgraph(g, keep)
-    return independence_polynomial(sub, budget)
+    return independence_polynomial(g, budget, _closed_non_neighborhood(g, v))
 
 
 def throughput(g: Graph, theta: Fraction, budget: int | None = None) -> ThroughputVector:

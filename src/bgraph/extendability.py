@@ -1,9 +1,14 @@
 """Per-vertex maximum-independent-set membership.
 
 A graph is 1-extendable when every vertex lies in some maximum independent
-set.  Each vertex query searches only the subgraph induced by the vertex's
-non-neighborhood for an independent set of target size, which is exact and
+set.  A vertex query asks the solver for an independent set of target size
+minus one in G - N[v], a bitmask over the host graph, which is exact and
 usually far cheaper than re-solving the whole graph.
+
+Witnesses are reused: every vertex of a target-size witness found so far
+(the first maximum independent set included) is covered by that witness,
+so only vertices no witness contains are queried.  Each query covers at
+least its own vertex, which caps the queries at n - alpha.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph, non_neighborhood
-from .mis import find_independent_set, max_independent_set
+from .graph import Graph, _closed_non_neighborhood
+from .mis import has_k_is_containing, max_independent_set
 
 
 @dataclass(frozen=True)
@@ -53,17 +58,45 @@ class ExtendabilityReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _query_vertex(g: Graph, v: int, k: int, budget: int | None, diagnose: bool) -> VertexVerdict:
-    sub, idmap = induced_subgraph(g, non_neighborhood(g, v))
-    found = find_independent_set(sub, k, budget)
-    if found is not None:
-        back = {new: old for old, new in idmap.items()}
-        wit = sorted(back[x] for x in found)
-        if v not in wit:
-            wit = sorted(set(wit[:-1]) | {v})
-        return VertexVerdict(v, True, tuple(wit), None)
-    best = max_independent_set(sub, budget).alpha if diagnose else None
-    return VertexVerdict(v, False, None, best)
+def _scan(
+    g: Graph,
+    k: int,
+    budget: int | None,
+    known: tuple[int, ...],
+    diagnose: bool,
+    stop_at_first_uncovered: bool,
+) -> list[VertexVerdict]:
+    """Verdicts in vertex order for membership in a size-k independent set.
+
+    known is a size-k independent set already in hand.  A vertex inside a
+    witness found so far gets the first such witness; only the others are
+    queried, and each successful query's witness covers its members too.
+    """
+    witness_of: dict[int, tuple[int, ...]] = {}
+
+    def learn(wit: tuple[int, ...]) -> None:
+        for u in wit:
+            witness_of.setdefault(u, wit)
+
+    learn(known)
+    verdicts: list[VertexVerdict] = []
+    for v in range(g.n):
+        wit = witness_of.get(v)
+        if wit is None:
+            found, wit = has_k_is_containing(g, v, k, budget)
+            if found:
+                learn(wit)
+        if wit is not None:
+            verdicts.append(VertexVerdict(v, True, wit, None))
+            continue
+        best = None
+        if diagnose:
+            # alpha(G - N(v)) = 1 + alpha(G - N[v]): v is isolated there
+            best = 1 + max_independent_set(g, budget, _closed_non_neighborhood(g, v)).alpha
+        verdicts.append(VertexVerdict(v, False, None, best))
+        if stop_at_first_uncovered:
+            break
+    return verdicts
 
 
 def is_one_extendable(
@@ -75,36 +108,30 @@ def is_one_extendable(
 
     The default report covers every vertex.  With stop_at_first_uncovered the
     scan ends at the first uncovered vertex (the overall verdict is still
-    exact); the report is then marked incomplete.  The budget caps each
-    internal solver invocation separately.
+    exact); the report is then marked incomplete.
+
+    Vertices are scanned in id order.  A vertex that lies in the first
+    maximum independent set, or in a witness found for an earlier vertex,
+    reuses that witness; only the remaining vertices are queried, so there
+    are at most n - alpha queries.  The budget caps each internal solver
+    invocation separately.
     """
-    alpha = max_independent_set(g, budget).alpha
-    verdicts: list[VertexVerdict] = []
-    all_covered = True
-    for v in range(g.n):
-        verdict = _query_vertex(g, v, alpha, budget, diagnose=True)
-        verdicts.append(verdict)
-        if not verdict.covered:
-            all_covered = False
-            if stop_at_first_uncovered:
-                break
+    first = max_independent_set(g, budget)
+    verdicts = _scan(g, first.alpha, budget, first.witness, True, stop_at_first_uncovered)
+    all_covered = all(v.covered for v in verdicts)
     complete = len(verdicts) == g.n
-    return ExtendabilityReport(alpha, all_covered, tuple(verdicts), complete)
+    return ExtendabilityReport(first.alpha, all_covered, tuple(verdicts), complete)
 
 
 def param_one_extendability(
     g: Graph, k: int, budget: int | None = None
 ) -> tuple[bool, tuple[VertexVerdict, ...]]:
-    """Does every vertex belong to an independent set of size k?"""
+    """Does every vertex belong to an independent set of size k?
+
+    Witnesses are reused as in is_one_extendable; the budget caps each
+    query separately.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
-    verdicts = []
-    ok = True
-    for v in range(g.n):
-        if k == 0:
-            verdicts.append(VertexVerdict(v, True, (), None))
-            continue
-        verdict = _query_vertex(g, v, k, budget, diagnose=False)
-        verdicts.append(verdict)
-        ok = ok and verdict.covered
-    return ok, tuple(verdicts)
+    verdicts = _scan(g, k, budget, (), False, False)
+    return all(v.covered for v in verdicts), tuple(verdicts)

@@ -219,6 +219,13 @@ def non_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(_bits(full & ~g.adj[v]))
 
 
+def _closed_non_neighborhood(g: Graph, v: int) -> int:
+    """Bitmask of V(G) minus the closed neighborhood N[v]."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return ((1 << g.n) - 1) & ~(g.adj[v] | (1 << v))
+
+
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff no edge joins two of the given vertices."""
     mask = 0

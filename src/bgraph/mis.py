@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, induced_subgraph, non_neighborhood
+from .graph import Graph, _bits, _closed_non_neighborhood
 
 
 class BudgetExceededError(RuntimeError):
@@ -66,21 +66,6 @@ class IndependencePolynomial:
             acc = acc * theta + c
         return acc
 
-    def __mul__(self, other: "IndependencePolynomial") -> "IndependencePolynomial":
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return IndependencePolynomial(tuple(out))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 def _components(adj: list[int], alive: int) -> list[int]:
     comps = []
@@ -99,34 +84,17 @@ def _components(adj: list[int], alive: int) -> list[int]:
     return comps
 
 
-def _clique_cover_bound(adj: list[int], alive: int) -> int:
-    """Greedy clique cover size: an upper bound on alpha of G[alive]."""
-    rest = alive
-    count = 0
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        clique = 1 << v
-        cand = adj[v] & rest
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            clique |= 1 << u
-            cand &= adj[u] & rest
-        rest &= ~clique
-        count += 1
-    return count
+def _clique_cover(adj: list[int], alive: int) -> tuple[int, int]:
+    """Greedy clique cover of G[alive]: (number of cliques, first smallest).
 
-
-def _cover_and_branch(adj: list[int], alive: int) -> tuple[int, int]:
-    """Cover bound plus a branch vertex from the smallest cover clique.
-
-    Branching inside an undersized clique shrinks the cover on both
-    branches, which is what actually closes the bound gap; within that
-    clique the max-degree lowest-id vertex is taken.
+    The count is an upper bound on alpha of G[alive].  Branching inside an
+    undersized clique shrinks the cover on both branches, which is what
+    actually closes the bound gap, so the solver branches in the smallest.
     """
     rest = alive
     count = 0
-    best_clique = 0
-    best_size = None
+    smallest = 0
+    smallest_size = None
     while rest:
         v = (rest & -rest).bit_length() - 1
         clique = 1 << v
@@ -138,17 +106,10 @@ def _cover_and_branch(adj: list[int], alive: int) -> tuple[int, int]:
         rest &= ~clique
         count += 1
         size = clique.bit_count()
-        if best_size is None or size < best_size:
-            best_size = size
-            best_clique = clique
-    branch_v = -1
-    branch_deg = -1
-    for v in _bits(best_clique):
-        deg = (adj[v] & alive).bit_count()
-        if deg > branch_deg:
-            branch_deg = deg
-            branch_v = v
-    return count, branch_v
+        if smallest_size is None or size < smallest_size:
+            smallest_size = size
+            smallest = clique
+    return count, smallest
 
 
 class _Solver:
@@ -281,7 +242,7 @@ class _Solver:
 
         comps = _components(adj, alive)
         if len(comps) > 1:
-            bounds = [_clique_cover_bound(adj, comp) for comp in comps]
+            bounds = [_clique_cover(adj, comp)[0] for comp in comps]
             if count + sum(bounds) <= lb:
                 self._untranslate(0, picked, folds)
                 return 0, 0
@@ -302,10 +263,18 @@ class _Solver:
                     break
             return total, self._untranslate(wit, picked, folds)
 
-        bound, best_v = _cover_and_branch(adj, alive)
+        bound, clique = _clique_cover(adj, alive)
         if count + bound <= lb:
             self._untranslate(0, picked, folds)
             return 0, 0
+        # branch on the max-degree, lowest-id vertex of the smallest clique
+        best_v = -1
+        best_deg = -1
+        for v in _bits(clique):
+            deg = (adj[v] & alive).bit_count()
+            if deg > best_deg:
+                best_deg = deg
+                best_v = v
         vbit = 1 << best_v
 
         in_cap = None if cap is None else cap - count - 1
@@ -317,7 +286,7 @@ class _Solver:
 
         new_lb = max(lb, count + best)
         rest = alive & ~vbit
-        if count + _clique_cover_bound(adj, rest) > new_lb:
+        if count + _clique_cover(adj, rest)[0] > new_lb:
             out_cap = None if cap is None else cap - count
             s2, w2 = self.solve(rest, out_cap, new_lb - count)
             if s2 > best:
@@ -346,25 +315,44 @@ def _greedy_independent_set(adj: tuple[int, ...] | list[int], alive: int) -> int
     return chosen
 
 
-def max_independent_set(g: Graph, budget: int | None = None) -> MisResult:
-    """Exact alpha(G) with one deterministic witness."""
-    full = (1 << g.n) - 1
-    seed = _greedy_independent_set(g.adj, full)
+def _alive_mask(g: Graph, alive: int | None) -> int:
+    """All of V(G) when alive is None; otherwise check it is a vertex mask."""
+    if alive is None:
+        return (1 << g.n) - 1
+    if alive < 0 or alive >> g.n:
+        raise ValueError(f"alive mask names vertices outside 0..{g.n - 1}")
+    return alive
+
+
+def max_independent_set(
+    g: Graph, budget: int | None = None, alive: int | None = None
+) -> MisResult:
+    """Exact alpha(G[alive]) with one deterministic witness.
+
+    alive is a vertex bitmask over g (default: every vertex); the witness
+    uses g's vertex ids.
+    """
+    alive = _alive_mask(g, alive)
+    seed = _greedy_independent_set(g.adj, alive)
     solver = _Solver(g, _Budget(budget))
-    alpha, wit = solver.solve(full, None, seed.bit_count() - 1)
+    alpha, wit = solver.solve(alive, None, seed.bit_count() - 1)
     witness = _witness_tuple(wit)
     assert len(witness) == alpha
     return MisResult(alpha, witness)
 
 
-def find_independent_set(g: Graph, k: int, budget: int | None = None) -> tuple[int, ...] | None:
-    """Some independent set of size exactly k, or None if alpha(G) < k."""
+def find_independent_set(
+    g: Graph, k: int, budget: int | None = None, alive: int | None = None
+) -> tuple[int, ...] | None:
+    """Some independent set of size exactly k inside G[alive], or None if
+    alpha(G[alive]) < k.  alive defaults to every vertex."""
+    alive = _alive_mask(g, alive)
     if k <= 0:
         return ()
-    if k > g.n:
+    if k > alive.bit_count():
         return None
     solver = _Solver(g, _Budget(budget))
-    size, wit = solver.solve((1 << g.n) - 1, k, k - 1)
+    size, wit = solver.solve(alive, k, k - 1)
     if size < k:
         return None
     return _witness_tuple(wit)[:k]
@@ -375,28 +363,24 @@ def has_k_is_containing(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Does some independent set of size k contain v?  (bool, witness|None).
 
-    Searches G[V \\ N(v)] for an independent set of size k, which by a swap
-    argument can always be assumed to include v.  k = 0 answers True with an
-    empty witness.
+    Adds v to an independent set of size k - 1 in G - N[v].  k = 0 answers
+    True with an empty witness.
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
+    alive = _closed_non_neighborhood(g, v)
     if k == 0:
         return True, ()
-    sub, idmap = induced_subgraph(g, non_neighborhood(g, v))
-    found = find_independent_set(sub, k, budget)
+    found = find_independent_set(g, k - 1, budget, alive)
     if found is None:
         return False, None
-    back = {new: old for old, new in idmap.items()}
-    wit = sorted(back[x] for x in found)
-    if v not in wit:
-        # v is isolated in the subgraph, so it swaps in for any member
-        wit = sorted(set(wit[:-1]) | {v})
-    return True, tuple(wit)
+    return True, tuple(sorted(found + (v,)))
 
 
-def independence_polynomial(g: Graph, budget: int | None = None) -> IndependencePolynomial:
-    """Exact coefficients via I(G) = I(G-v) + x*I(G-N[v]) with memoization."""
+def independence_polynomial(
+    g: Graph, budget: int | None = None, alive: int | None = None
+) -> IndependencePolynomial:
+    """Exact coefficients of I(G[alive]) via I(G) = I(G-v) + x*I(G-N[v]),
+    memoized by vertex mask.  alive defaults to every vertex."""
+    alive = _alive_mask(g, alive)
     bud = _Budget(budget)
     adj = list(g.adj)
     memo: dict[int, tuple[int, ...]] = {0: (1,)}
@@ -438,7 +422,7 @@ def independence_polynomial(g: Graph, budget: int | None = None) -> Independence
         memo[mask] = acc
         return acc
 
-    coeffs = poly((1 << g.n) - 1)
+    coeffs = poly(alive)
     assert coeffs[0] == 1 and coeffs[-1] >= 1
     return IndependencePolynomial(coeffs)
 
@@ -452,10 +436,5 @@ def mis_counts(
     total = full.coefficients[alpha]
     if v is None:
         return total, None
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    closed = g.adj[v] | (1 << v)
-    keep = [u for u in range(g.n) if not closed >> u & 1]
-    sub, _ = induced_subgraph(g, keep)
-    part = independence_polynomial(sub, budget)
+    part = independence_polynomial(g, budget, _closed_non_neighborhood(g, v))
     return total, part.count(alpha - 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _closed_non_neighborhood
 from .mis import max_independent_set
 
 
@@ -311,18 +311,17 @@ def constrained_alpha(
 ) -> int:
     """Max independent-set size among sets containing forced_in and avoiding
     forced_out; -1 when forced_in is not independent."""
-    drop = set(forced_out)
+    alive = (1 << g.n) - 1
     base = 0
     for v in forced_in:
         for u in forced_in:
             if u != v and g.has_edge(u, v):
                 return -1
-        drop.add(v)
-        drop.update(g.neighbors(v))
+        alive &= _closed_non_neighborhood(g, v)
         base += 1
-    keep = [v for v in range(g.n) if v not in drop]
-    sub, _ = induced_subgraph(g, keep)
-    return base + max_independent_set(sub, budget).alpha
+    for v in forced_out:
+        alive &= ~(1 << v)
+    return base + max_independent_set(g, budget, alive).alpha
 
 
 def gadget_table(gadget: GadgetGraph | None = None, budget: int | None = None) -> dict[tuple[int, int], int]:

@@ -206,6 +206,19 @@ def test_budget_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_internal_error_exit_4(capsys, monkeypatch, p5_file):
+    from bgraph import cli
+
+    def boom(args):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(cli, "_cmd_check_1ext", boom)
+    code, out, err = run(capsys, ["check-1ext", p5_file])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "solver crashed" in err
+
+
 def test_deterministic_output(capsys, p5_file):
     _, out1, _ = run(capsys, ["check-1ext", p5_file])
     _, out2, _ = run(capsys, ["check-1ext", p5_file])

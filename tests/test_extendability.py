@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bgraph import mis
 from bgraph.extendability import is_one_extendable, param_one_extendability
 from bgraph.graph import Graph, is_independent
 from helpers_brute import (
@@ -38,14 +39,62 @@ def test_edgeless_is_one_extendable():
 
 
 def test_witnesses_are_maximum_independent_sets_containing_vertex():
+    reused = 0
     for g in random_graph_suite(seed=21, count=30, max_n=9, min_n=1):
-        rep = is_one_extendable(g)
-        for v in rep.verdicts:
-            if v.covered:
+        for stop in (False, True):
+            rep = is_one_extendable(g, stop_at_first_uncovered=stop)
+            covered = [v for v in rep.verdicts if v.covered]
+            for v in covered:
                 assert v.witness is not None
                 assert len(v.witness) == rep.alpha
                 assert v.vertex in v.witness
                 assert is_independent(g, v.witness)
+            reused += len(covered) - len({v.witness for v in covered})
+        for k in range(1, brute_alpha(g) + 1):
+            _, verdicts = param_one_extendability(g, k)
+            for v in verdicts:
+                if v.covered:
+                    assert len(v.witness) == k and v.vertex in v.witness
+                    assert is_independent(g, v.witness)
+    assert reused > 0  # the witnesses above include reused ones
+
+
+def test_coverage_and_best_size_match_brute_force():
+    for g in random_graph_suite(seed=26, count=60, max_n=11, min_n=1):
+        alpha = brute_alpha(g)
+        first_uncovered = next(
+            (v for v in range(g.n) if not brute_has_k_containing(g, v, alpha)), None
+        )
+        for stop in (False, True):
+            rep = is_one_extendable(g, stop_at_first_uncovered=stop)
+            assert rep.alpha == alpha
+            scanned = g.n if not stop or first_uncovered is None else first_uncovered + 1
+            assert [v.vertex for v in rep.verdicts] == list(range(scanned))
+            assert rep.complete == (scanned == g.n)
+            for v in rep.verdicts:
+                assert v.covered == brute_has_k_containing(g, v.vertex, alpha)
+                if not v.covered:
+                    # alpha(G - N(v)): forbid exactly the open neighborhood
+                    assert v.best_size == brute_alpha(g, forced_out=g.neighbors(v.vertex))
+
+
+def test_queries_at_most_n_minus_alpha(monkeypatch):
+    calls = []
+    real = mis.find_independent_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mis, "find_independent_set", counting)
+    total = 0
+    for g in random_graph_suite(seed=27, count=60, max_n=12, min_n=1):
+        for stop in (False, True):
+            calls.clear()
+            rep = is_one_extendable(g, stop_at_first_uncovered=stop)
+            assert len(calls) <= g.n - rep.alpha
+            total += len(calls)
+    assert total > 0  # the queries still go through find_independent_set
 
 
 def test_matches_brute_force():

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bgraph.graph import disjoint_union, is_independent
+from bgraph.graph import Graph, disjoint_union, induced_subgraph, is_independent
 from bgraph.mis import (
     BudgetExceededError,
     find_independent_set,
@@ -70,6 +72,48 @@ def test_find_independent_set():
     assert find_independent_set(g, 99) is None
 
 
+@st.composite
+def graph_and_mask(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    alive = draw(st.integers(0, (1 << n) - 1))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k]), alive
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_mask())
+def test_alive_entry_points_match_brute_force(case):
+    g, alive = case
+    inside = [v for v in range(g.n) if alive >> v & 1]
+    outside = [v for v in range(g.n) if not alive >> v & 1]
+    alpha = brute_alpha(g, forced_out=outside)
+    res = max_independent_set(g, alive=alive)
+    assert res.alpha == alpha
+    assert set(res.witness) <= set(inside) and is_independent(g, res.witness)
+    for k in range(alpha + 2):
+        found = find_independent_set(g, k, alive=alive)
+        if k > alpha:
+            assert found is None
+        else:
+            assert found is not None and len(found) == k
+            assert set(found) <= set(inside) and is_independent(g, found)
+    sub, _ = induced_subgraph(g, inside)
+    poly = independence_polynomial(g, alive=alive)
+    assert list(poly.coefficients) == brute_count_by_size(sub)
+
+
+def test_alive_mask_outside_graph_is_rejected():
+    g = path_graph(3)
+    for bad in (1 << 3, -1):
+        with pytest.raises(ValueError):
+            max_independent_set(g, alive=bad)
+        with pytest.raises(ValueError):
+            find_independent_set(g, 1, alive=bad)
+        with pytest.raises(ValueError):
+            independence_polynomial(g, alive=bad)
+
+
 def test_has_k_is_containing_p5_center_examples():
     g = path_graph(5)
     ok, _ = has_k_is_containing(g, 1, 3)
@@ -106,14 +150,24 @@ def test_polynomial_matches_brute_force():
         assert poly.total() == sum(brute_count_by_size(g))
 
 
+def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def test_polynomial_of_disjoint_union_is_product():
     rng = random.Random(42)
     for _ in range(20):
         a = random_graph(rng, rng.randint(1, 7), 0.4)
         b = random_graph(rng, rng.randint(1, 7), 0.4)
         u = disjoint_union(a, b)
-        prod = independence_polynomial(a) * independence_polynomial(b)
-        assert independence_polynomial(u).coefficients == prod.coefficients
+        prod = _poly_product(
+            independence_polynomial(a).coefficients, independence_polynomial(b).coefficients
+        )
+        assert independence_polynomial(u).coefficients == prod
 
 
 def test_mis_counts_examples():
