@@ -18,7 +18,7 @@ from .mis import (
     has_k_is_containing,
     independence_polynomial,
     max_independent_set,
-    mis_counts,
+    neighborhood_polynomials,
 )
 from .extendability import (
     ExtendabilityReport,
@@ -43,7 +43,7 @@ __all__ = [
     "find_independent_set",
     "has_k_is_containing",
     "independence_polynomial",
-    "mis_counts",
+    "neighborhood_polynomials",
     "ExtendabilityReport",
     "VertexVerdict",
     "is_one_extendable",

@@ -8,7 +8,8 @@ The stationary airtime share of node v is
 with theta the transmission/listen duration ratio.  The denominator
 includes the empty set (the idle-channel state of the underlying Markov
 model).  As theta grows, p_v tends to the fraction of maximum independent
-sets containing v, so a vertex in no MIS starves.
+sets containing v, so a vertex in no MIS starves: the starving vertices are
+exactly the uncovered vertices of the 1-extendability scan.
 
 All arithmetic is exact rational: theta^alpha overflows floats quickly and
 the limit comparison must be exact.  Decimal rendering happens only at the
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, _closed_non_neighborhood
-from .mis import independence_polynomial, mis_counts
+from .extendability import is_one_extendable
+from .graph import Graph
+from .mis import IndependencePolynomial, neighborhood_polynomials
 
 
 def parse_theta(text: str) -> Fraction:
@@ -43,36 +45,32 @@ class LimitVector:
     p: tuple[Fraction, ...]
 
 
-def _polynomial_without_closed_neighborhood(g: Graph, v: int, budget: int | None):
-    return independence_polynomial(g, budget, _closed_non_neighborhood(g, v))
+def _shares(
+    full: IndependencePolynomial, parts: tuple[IndependencePolynomial, ...], theta: Fraction
+) -> tuple[Fraction, ...]:
+    """p_v(theta) = theta * I(G - N[v])(theta) / I(G)(theta)."""
+    z = full.evaluate(theta)
+    return tuple(theta * part.evaluate(theta) / z for part in parts)
 
 
 def throughput(g: Graph, theta: Fraction, budget: int | None = None) -> ThroughputVector:
     """Exact per-vertex airtime shares at the given theta > 0."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    z = independence_polynomial(g, budget).evaluate(theta)
-    shares = []
-    for v in range(g.n):
-        zv = _polynomial_without_closed_neighborhood(g, v, budget).evaluate(theta)
-        shares.append(theta * zv / z)
-    return ThroughputVector(theta, tuple(shares))
+    return ThroughputVector(theta, _shares(*neighborhood_polynomials(g, budget), theta))
 
 
 def throughput_limit(g: Graph, budget: int | None = None) -> LimitVector:
-    """Per-vertex limits of p_v as theta grows without bound."""
-    total, _ = mis_counts(g, None, budget)
-    values = []
-    for v in range(g.n):
-        _, at_v = mis_counts(g, v, budget)
-        values.append(Fraction(at_v, total))
-    return LimitVector(tuple(values))
+    """Per-vertex limits of p_v as theta grows without bound:
+    [x^(alpha-1)] I(G - N[v]) / [x^alpha] I(G)."""
+    full, parts = neighborhood_polynomials(g, budget)
+    alpha = full.degree
+    return LimitVector(tuple(Fraction(p.count(alpha - 1), full.count(alpha)) for p in parts))
 
 
 def starvation_report(g: Graph, budget: int | None = None) -> tuple[int, ...]:
     """Vertices whose airtime share tends to zero: exactly those in no MIS."""
-    limit = throughput_limit(g, budget)
-    return tuple(v for v in range(g.n) if limit.p[v] == 0)
+    return is_one_extendable(g, budget).uncovered()
 
 
 def _format_decimal(x: Fraction, precision: int) -> str:
@@ -98,14 +96,17 @@ def theta_sweep(
     """CSV table of p_v over the given thetas.
 
     Header "theta,p_0,...,p_{n-1}"; theta column keeps the exact rational
-    form, shares render as fixed-point decimals.
+    form, shares render as fixed-point decimals.  The polynomials are
+    built once and evaluated at every theta.
     """
     for theta in thetas:
         if theta <= 0:
             raise ValueError("theta must be positive")
+    if precision < 0:
+        raise ValueError(f"precision must be non-negative, got {precision}")
+    full, parts = neighborhood_polynomials(g, budget)
     lines = ["theta," + ",".join(f"p_{v}" for v in range(g.n))]
     for theta in thetas:
-        row = throughput(g, theta, budget)
-        cells = [str(theta)] + [_format_decimal(p, precision) for p in row.p]
-        lines.append(",".join(cells))
+        shares = _shares(full, parts, theta)
+        lines.append(",".join([str(theta)] + [_format_decimal(p, precision) for p in shares]))
     return "\n".join(lines) + "\n"

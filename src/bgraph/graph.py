@@ -111,12 +111,6 @@ class Graph:
                 return v
         raise KeyError(name)
 
-    def relabel(self, labels: dict[int, str]) -> "Graph":
-        row = list(self.labels)
-        for v, name in labels.items():
-            row[v] = name
-        return Graph(self.n, self.adj, tuple(row))
-
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.

@@ -375,33 +375,32 @@ def has_k_is_containing(
     return True, tuple(sorted(found + (v,)))
 
 
-def independence_polynomial(
-    g: Graph, budget: int | None = None, alive: int | None = None
-) -> IndependencePolynomial:
-    """Exact coefficients of I(G[alive]) via I(G) = I(G-v) + x*I(G-N[v]),
-    memoized by vertex mask.  alive defaults to every vertex."""
-    alive = _alive_mask(g, alive)
-    bud = _Budget(budget)
-    adj = list(g.adj)
-    memo: dict[int, tuple[int, ...]] = {0: (1,)}
+class _PolynomialMemo:
+    """I(G[mask]) over one host graph via I(G) = I(G-v) + x*I(G-N[v]) and
+    component products; all roots share one mask-keyed memo and one budget,
+    spent once per memo miss."""
 
-    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return tuple(out)
+    def __init__(self, g: Graph, budget: _Budget):
+        self.adj = g.adj
+        self.budget = budget
+        self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
-    def poly(mask: int) -> tuple[int, ...]:
-        hit = memo.get(mask)
+    def poly(self, mask: int) -> tuple[int, ...]:
+        hit = self.memo.get(mask)
         if hit is not None:
             return hit
-        bud.spend()
+        self.budget.spend()
+        adj = self.adj
         comps = _components(adj, mask)
         if len(comps) > 1:
             acc = (1,)
             for comp in comps:
-                acc = mul(acc, poly(comp))
+                part = self.poly(comp)
+                out = [0] * (len(acc) + len(part) - 1)
+                for i, x in enumerate(acc):
+                    for j, y in enumerate(part):
+                        out[i + j] += x * y
+                acc = tuple(out)
         else:
             best_v = -1
             best_deg = -1
@@ -410,31 +409,34 @@ def independence_polynomial(
                 if deg > best_deg:
                     best_deg = deg
                     best_v = v
-            without = poly(mask & ~(1 << best_v))
-            closed = poly(mask & ~(adj[best_v] | (1 << best_v)))
-            upper = max(len(without), len(closed) + 1)
-            out = [0] * upper
+            without = self.poly(mask & ~(1 << best_v))
+            closed = self.poly(mask & ~(adj[best_v] | (1 << best_v)))
+            out = [0] * max(len(without), len(closed) + 1)
             for i, c in enumerate(without):
                 out[i] += c
             for i, c in enumerate(closed):
                 out[i + 1] += c
             acc = tuple(out)
-        memo[mask] = acc
+        self.memo[mask] = acc
         return acc
 
-    coeffs = poly(alive)
+
+def independence_polynomial(
+    g: Graph, budget: int | None = None, alive: int | None = None
+) -> IndependencePolynomial:
+    """Exact coefficients of I(G[alive]), memoized by vertex mask.  alive
+    defaults to every vertex."""
+    coeffs = _PolynomialMemo(g, _Budget(budget)).poly(_alive_mask(g, alive))
     assert coeffs[0] == 1 and coeffs[-1] >= 1
     return IndependencePolynomial(coeffs)
 
 
-def mis_counts(
-    g: Graph, v: int | None = None, budget: int | None = None
-) -> tuple[int, int | None]:
-    """(#MISs of G, #MISs containing v) -- second entry None when v omitted."""
-    full = independence_polynomial(g, budget)
-    alpha = full.degree
-    total = full.coefficients[alpha]
-    if v is None:
-        return total, None
-    part = independence_polynomial(g, budget, _closed_non_neighborhood(g, v))
-    return total, part.count(alpha - 1)
+def neighborhood_polynomials(
+    g: Graph, budget: int | None = None
+) -> tuple[IndependencePolynomial, tuple[IndependencePolynomial, ...]]:
+    """(I(G), (I(G - N[v]) for v in V)) from one shared memo; the budget
+    bounds the search nodes of all n + 1 polynomials together."""
+    memo = _PolynomialMemo(g, _Budget(budget))
+    full = IndependencePolynomial(memo.poly((1 << g.n) - 1))
+    rest = (_closed_non_neighborhood(g, v) for v in range(g.n))
+    return full, tuple(IndependencePolynomial(memo.poly(mask)) for mask in rest)

@@ -157,12 +157,18 @@ def test_sweep_csv(capsys, p4_file):
     assert len(lines) == 4
 
 
-def test_starvation_exit_codes(capsys, p5_file, p4_file):
+def test_starvation_exit_codes(capsys, p5_file, p4_file, tmp_path):
     code, out, _ = run(capsys, ["starvation", p5_file])
     assert code == 1
     assert json.loads(out)["starving"] == [1, 3]
     code, out, _ = run(capsys, ["starvation", p4_file])
     assert code == 0
+    # an even path is 1-extendable; 1000 vertices must not overflow the stack
+    long_path = tmp_path / "p1000.edges"
+    long_path.write_text(serialize_graph(path_graph(1000)))
+    code, out, _ = run(capsys, ["starvation", str(long_path)])
+    assert code == 0
+    assert json.loads(out) == {"starving": []}
 
 
 def test_unitdisk_and_verify(capsys, tmp_path):
@@ -188,22 +194,26 @@ def test_unitdisk_and_verify(capsys, tmp_path):
     assert code == 1
 
 
-def test_input_errors_exit_2(capsys, tmp_path):
+def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     bad = tmp_path / "bad.edges"
     bad.write_text("2 1\n0 0\n")
     code, _, err = run(capsys, ["alpha", str(bad)])
     assert code == 2 and "error" in err
     code, _, err = run(capsys, ["alpha", str(tmp_path / "missing.edges")])
     assert code == 2
+    code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1", "--precision", "-1"])
+    assert code == 2 and out == "" and "precision" in err
 
 
-def test_budget_exit_3(capsys, tmp_path):
+def test_budget_exit_3(capsys, tmp_path, p4_file):
     import random
     from helpers_brute import random_graph
     src = tmp_path / "dense.edges"
     src.write_text(serialize_graph(random_graph(random.Random(0), 30, 0.5)))
     code, _, err = run(capsys, ["alpha", str(src), "--budget", "2"])
     assert code == 3
+    code, out, err = run(capsys, ["limit", p4_file, "--budget", "1"])
+    assert code == 3 and out == "" and "budget" in err
 
 
 def test_internal_error_exit_4(capsys, monkeypatch, p5_file):

@@ -13,6 +13,7 @@ from bgraph.csma import (
 )
 from bgraph.extendability import is_one_extendable
 from bgraph.graph import Graph
+from bgraph.mis import BudgetExceededError, independence_polynomial
 from helpers_brute import (
     brute_all_is_of_size,
     complete_graph,
@@ -103,6 +104,25 @@ def test_limit_zero_iff_uncovered():
         report = is_one_extendable(g)
         for v in range(g.n):
             assert (limit[v] == 0) == (not report.verdicts[v].covered)
+        assert starvation_report(g) == tuple(v for v in range(g.n) if limit[v] == 0)
+
+
+def test_budget_bounds_the_whole_report():
+    # each of the five polynomials of P4 fits in 5 search nodes on its own;
+    # the shared pass over all of them needs 7
+    g = path_graph(4)
+    cap = 5
+    independence_polynomial(g, budget=cap)
+    for v in range(g.n):
+        rest = sum(1 << u for u in range(g.n) if u != v and not g.has_edge(u, v))
+        independence_polynomial(g, budget=cap, alive=rest)
+    with pytest.raises(BudgetExceededError):
+        throughput_limit(g, budget=cap)
+    with pytest.raises(BudgetExceededError):
+        throughput(g, Fraction(1), budget=cap)
+    with pytest.raises(BudgetExceededError):
+        theta_sweep(g, [Fraction(1)], budget=cap)
+    assert throughput_limit(g, budget=7) == throughput_limit(g)
 
 
 def test_starvation_report():

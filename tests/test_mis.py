@@ -13,7 +13,7 @@ from bgraph.mis import (
     has_k_is_containing,
     independence_polynomial,
     max_independent_set,
-    mis_counts,
+    neighborhood_polynomials,
 )
 from helpers_brute import (
     brute_alpha,
@@ -170,32 +170,43 @@ def test_polynomial_of_disjoint_union_is_product():
         assert independence_polynomial(u).coefficients == prod
 
 
-def test_mis_counts_examples():
-    total, at1 = mis_counts(path_graph(5), 1)
-    assert (total, at1) == (1, 0)
-    total, at0 = mis_counts(path_graph(5), 0)
-    assert (total, at0) == (1, 1)
-    assert mis_counts(path_graph(4), 0) == (3, 2)
-    assert mis_counts(path_graph(4), 1) == (3, 1)
+def _mis_counts(full, parts, v: int) -> tuple[int, int]:
+    """(#MISs of G, #MISs containing v) read off the neighborhood polynomials."""
+    alpha = full.degree
+    return full.count(alpha), parts[v].count(alpha - 1)
+
+
+def test_neighborhood_polynomials_examples():
+    full, parts = neighborhood_polynomials(path_graph(5))
+    assert _mis_counts(full, parts, 1) == (1, 0)
+    assert _mis_counts(full, parts, 0) == (1, 1)
+    full, parts = neighborhood_polynomials(path_graph(4))
+    assert _mis_counts(full, parts, 0) == (3, 2)
+    assert _mis_counts(full, parts, 1) == (3, 1)
+    full, parts = neighborhood_polynomials(complete_graph(3))
     for v in range(3):
-        assert mis_counts(complete_graph(3), v) == (3, 1)
+        assert _mis_counts(full, parts, v) == (3, 1)
 
 
-def test_mis_counts_matches_brute_force():
+def test_neighborhood_polynomials_match_brute_force():
     for g in random_graph_suite(seed=404, count=40, max_n=10, min_n=1):
-        assert mis_counts(g)[0] == brute_mis_counts(g)[0]
+        full, parts = neighborhood_polynomials(g)
+        assert len(parts) == g.n
+        assert full.count(full.degree) == brute_mis_counts(g)[0]
         for v in range(g.n):
-            assert mis_counts(g, v) == brute_mis_counts(g, v)
+            assert _mis_counts(full, parts, v) == brute_mis_counts(g, v)
+            rest = sum(1 << u for u in range(g.n) if u != v and not g.has_edge(u, v))
+            assert parts[v] == independence_polynomial(g, alive=rest)
 
 
-def test_mis_counts_double_counting_identity():
+def test_neighborhood_polynomials_double_counting_identity():
     for g in random_graph_suite(seed=505, count=25, max_n=10, min_n=1):
-        total, _ = mis_counts(g)
+        full, parts = neighborhood_polynomials(g)
         alpha = max_independent_set(g).alpha
         if alpha == 0:
             continue
-        acc = sum(mis_counts(g, v)[1] for v in range(g.n))
-        assert acc == total * alpha
+        acc = sum(_mis_counts(full, parts, v)[1] for v in range(g.n))
+        assert acc == full.count(alpha) * alpha
 
 
 def test_budget_exceeded_is_raised_not_wrong():
