@@ -16,10 +16,10 @@ import traceback
 
 from .csma import parse_theta, starvation_report, theta_sweep, throughput, throughput_limit
 from .extendability import is_one_extendable, param_one_extendability
-from .graph import Graph, GraphParseError, parse_graph, serialize_graph
-from .kernelize import CliqueFoundError, kernelize, oracle_degenerate, oracle_krfree
+from .graph import Graph, parse_graph, serialize_graph
+from .kernelize import kernelize, oracle_degenerate, oracle_krfree
 from .mis import BudgetExceededError, max_independent_set
-from .reduce3sat import DegenerateGeometryError, FormulaError, build_g_phi, parse_pmr3sat
+from .reduce3sat import build_g_phi, parse_pmr3sat
 from .transforms import (
     CrossingSpec,
     g_plus,
@@ -33,7 +33,6 @@ from .transforms import (
     w1_construction,
 )
 from .unitdisk import (
-    EmbeddingError,
     intersection_graph,
     parse_embedding,
     parse_layout,
@@ -349,17 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        GraphParseError,
-        FormulaError,
-        DegenerateGeometryError,
-        EmbeddingError,
-        CliqueFoundError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # bgraph's input errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

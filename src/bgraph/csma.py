@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extendability import is_one_extendable
+from .extendability import _report
 from .graph import Graph
 from .mis import IndependencePolynomial, neighborhood_polynomials
 
@@ -69,8 +69,11 @@ def throughput_limit(g: Graph, budget: int | None = None) -> LimitVector:
 
 
 def starvation_report(g: Graph, budget: int | None = None) -> tuple[int, ...]:
-    """Vertices whose airtime share tends to zero: exactly those in no MIS."""
-    return is_one_extendable(g, budget).uncovered()
+    """Vertices whose airtime share tends to zero: exactly those in no MIS.
+
+    The 1-extendability scan without its best_size diagnostic, which
+    would cost one more solver call per starving vertex."""
+    return _report(g, budget, False, False).uncovered()
 
 
 def _format_decimal(x: Fraction, precision: int) -> str:

@@ -99,6 +99,17 @@ def _scan(
     return verdicts
 
 
+def _report(
+    g: Graph, budget: int | None, diagnose: bool, stop_at_first_uncovered: bool
+) -> ExtendabilityReport:
+    """is_one_extendable, with best_size computed only when diagnose is set."""
+    first = max_independent_set(g, budget)
+    verdicts = _scan(g, first.alpha, budget, first.witness, diagnose, stop_at_first_uncovered)
+    all_covered = all(v.covered for v in verdicts)
+    complete = len(verdicts) == g.n
+    return ExtendabilityReport(first.alpha, all_covered, tuple(verdicts), complete)
+
+
 def is_one_extendable(
     g: Graph,
     budget: int | None = None,
@@ -116,11 +127,7 @@ def is_one_extendable(
     are at most n - alpha queries.  The budget caps each internal solver
     invocation separately.
     """
-    first = max_independent_set(g, budget)
-    verdicts = _scan(g, first.alpha, budget, first.witness, True, stop_at_first_uncovered)
-    all_covered = all(v.covered for v in verdicts)
-    complete = len(verdicts) == g.n
-    return ExtendabilityReport(first.alpha, all_covered, tuple(verdicts), complete)
+    return _report(g, budget, True, stop_at_first_uncovered)
 
 
 def param_one_extendability(

@@ -233,25 +233,42 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
-def degeneracy_order(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Remove a minimum-degree vertex repeatedly (lowest id breaks ties).
+def _alive_mask(g: Graph, alive: int | None) -> int:
+    """All of V(G) when alive is None; otherwise check it is a vertex mask."""
+    if alive is None:
+        return (1 << g.n) - 1
+    if alive < 0 or alive >> g.n:
+        raise ValueError(f"alive mask names vertices outside 0..{g.n - 1}")
+    return alive
+
+
+def _min_degree_vertex(g: Graph, alive: int) -> tuple[int, int]:
+    """A minimum-degree vertex of G[alive] (lowest id breaks ties) and its degree."""
+    adj = g.adj
+    best = -1
+    best_deg = g.n + 1
+    for v in _bits(alive):
+        deg = (adj[v] & alive).bit_count()
+        if deg < best_deg:
+            best_deg = deg
+            best = v
+    return best, best_deg
+
+
+def degeneracy_order(g: Graph, alive: int | None = None) -> tuple[tuple[int, ...], int]:
+    """Remove a minimum-degree vertex of G[alive] repeatedly (lowest id
+    breaks ties); alive is a vertex bitmask over g, default every vertex.
 
     Returns (removal order, degeneracy = max degree seen at removal time).
     """
-    alive = (1 << g.n) - 1
+    alive = _alive_mask(g, alive)
     order = []
     d = 0
-    for _ in range(g.n):
-        best = -1
-        best_deg = g.n + 1
-        for v in _bits(alive):
-            deg = (g.adj[v] & alive).bit_count()
-            if deg < best_deg:
-                best_deg = deg
-                best = v
-        order.append(best)
-        d = max(d, best_deg)
-        alive &= ~(1 << best)
+    while alive:
+        v, deg = _min_degree_vertex(g, alive)
+        order.append(v)
+        d = max(d, deg)
+        alive &= ~(1 << v)
     return tuple(order), d
 
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
-from .graph import Graph, degeneracy_order, induced_subgraph
+from .graph import Graph, _bits, _min_degree_vertex, degeneracy_order, induced_subgraph
 
 
 class OracleIntegrityError(RuntimeError):
-    """Extractor returned a smaller set than its class guarantees."""
+    """Extractor returned a vertex outside alive or a too-small set."""
 
 
 class CliqueFoundError(ValueError):
@@ -36,12 +37,18 @@ class CliqueFoundError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FriendlyOracle:
-    """Independent-set extractor with guarantee |S| >= t * n^(1/inv_c)."""
+    """Independent-set extractor with guarantee |S| >= t * n^(1/inv_c).
+
+    extract(g, alive) works on G[alive], with alive a vertex bitmask over
+    the host graph g, and returns the independent set as a bitmask inside
+    alive; n is the number of alive vertices.  t_for and precheck see the
+    whole input graph.
+    """
 
     name: str
     inv_c: int
     t_for: Callable[[Graph], Fraction]
-    extract: Callable[[Graph], tuple[int, ...]]
+    extract: Callable[[Graph, int], int]
     precheck: Callable[[Graph], None]
 
 
@@ -81,16 +88,13 @@ class KernelTrace:
 # oracles
 # ---------------------------------------------------------------------------
 
-def _greedy_degenerate(g: Graph) -> tuple[int, ...]:
-    """Greedy along the min-degree removal order: size >= n/(d+1)."""
-    order, _ = degeneracy_order(g)
-    chosen_mask = 0
-    chosen = []
-    for v in order:
-        if not g.adj[v] & chosen_mask:
-            chosen.append(v)
-            chosen_mask |= 1 << v
-    return tuple(sorted(chosen))
+def _greedy_degenerate(g: Graph, alive: int) -> int:
+    """Greedy along the min-degree removal order of G[alive]: size >= n/(d+1)."""
+    chosen = 0
+    for v in degeneracy_order(g, alive)[0]:
+        if not g.adj[v] & chosen:
+            chosen |= 1 << v
+    return chosen
 
 
 def oracle_degenerate() -> FriendlyOracle:
@@ -129,25 +133,20 @@ def find_clique(g: Graph, r: int) -> tuple[int, ...] | None:
     return hit[0] if hit else None
 
 
-def _ramsey_extract(g: Graph, r: int) -> tuple[int, ...]:
-    """Recursive extraction from a K_r-free graph: min-degree descent into
-    the non-neighborhood, switching into a high-degree neighborhood (which
-    is K_{r-1}-free) when the minimum degree is large."""
-    if g.n == 0:
-        return ()
-    if r == 2:
-        return tuple(range(g.n))
-    v = min(range(g.n), key=lambda u: (g.degree(u), u))
-    d = g.degree(v)
-    if d > 0 and d ** (r - 1) >= g.n ** (r - 2):
-        sub, idmap = induced_subgraph(g, g.neighbors(v))
-        back = {new: old for old, new in idmap.items()}
-        return tuple(sorted(back[x] for x in _ramsey_extract(sub, r - 1)))
-    keep = [u for u in range(g.n) if u != v and not g.has_edge(u, v)]
-    sub, idmap = induced_subgraph(g, keep)
-    back = {new: old for old, new in idmap.items()}
-    inner = tuple(back[x] for x in _ramsey_extract(sub, r))
-    return tuple(sorted(inner + (v,)))
+def _ramsey_extract(g: Graph, alive: int, r: int) -> int:
+    """Extraction from a K_r-free G[alive]: min-degree descent into the
+    non-neighborhood, switching into a high-degree neighborhood (which is
+    K_{r-1}-free) when the minimum degree is large."""
+    chosen = 0
+    while alive and r > 2:
+        v, d = _min_degree_vertex(g, alive)
+        if d > 0 and d ** (r - 1) >= alive.bit_count() ** (r - 2):
+            alive &= g.adj[v]
+            r -= 1
+        else:
+            chosen |= 1 << v
+            alive &= ~(g.adj[v] | (1 << v))
+    return chosen | alive  # a K_2-free graph is edgeless
 
 
 def oracle_krfree(r: int) -> FriendlyOracle:
@@ -165,7 +164,7 @@ def oracle_krfree(r: int) -> FriendlyOracle:
         name=f"k{r}free",
         inv_c=r - 1,
         t_for=lambda g: Fraction(1),
-        extract=lambda g: _ramsey_extract(g, r),
+        extract=lambda g, alive: _ramsey_extract(g, alive, r),
         precheck=precheck,
     )
 
@@ -182,6 +181,11 @@ def _check_bound(size: int, n: int, t: Fraction, inv_c: int, oracle: str) -> Non
         )
 
 
+def _lowest(mask: int, count: int) -> int:
+    """The count lowest-id vertices of mask, as a mask."""
+    return sum(1 << v for v in islice(_bits(mask), count))
+
+
 def kernelize(
     g: Graph, k: int, oracle: FriendlyOracle
 ) -> tuple[Graph, KernelTrace]:
@@ -194,53 +198,48 @@ def kernelize(
     inv_c = oracle.inv_c
     threshold = (Fraction(k) / t) ** inv_c
 
-    alive: list[int] = list(range(g.n))
+    alive = (1 << g.n) - 1
     rounds = 0
     layers: tuple[tuple[int, ...], ...] = ()
-    residue: tuple[int, ...] = tuple(alive)
+    residue: tuple[int, ...] = tuple(range(g.n))
     marked: tuple[int, ...] = ()
     removed: tuple[int, ...] = ()
     marked_counts: list[int] = []
     removed_counts: list[int] = []
 
-    while len(alive) >= threshold:
+    while alive.bit_count() >= threshold:
         rounds += 1
-        layer_list: list[tuple[int, ...]] = []
-        rest = list(alive)
+        layer_masks: list[int] = []
+        rest = alive
         residue = ()
         while rest:
-            sub, idmap = induced_subgraph(g, rest)
-            back = {new: old for old, new in idmap.items()}
-            found = oracle.extract(sub)
-            _check_bound(len(found), sub.n, t, inv_c, oracle.name)
-            layer = tuple(sorted(back[x] for x in found))
-            if layer_list and len(layer) < k:
-                residue = tuple(rest)
+            found = oracle.extract(g, rest)
+            if found & ~rest:
+                raise OracleIntegrityError(f"oracle {oracle.name} left its alive mask")
+            size, n = found.bit_count(), rest.bit_count()
+            _check_bound(size, n, t, inv_c, oracle.name)
+            if layer_masks and size < k:
+                residue = tuple(_bits(rest))
                 break
-            if len(layer) < k:
-                raise OracleIntegrityError(
-                    f"first layer smaller than k on {sub.n} vertices"
-                )
-            layer_list.append(layer)
-            layer_set = set(layer)
-            rest = [v for v in rest if v not in layer_set]
-        layers = tuple(layer_list)
+            if size < k:
+                raise OracleIntegrityError(f"first layer smaller than k on {n} vertices")
+            layer_masks.append(found)
+            rest &= ~found
+        layers = tuple(tuple(_bits(m)) for m in layer_masks)
 
-        s0 = layers[0]
-        mark = set(s0[:k])
+        s0 = layer_masks[0]
+        mark = _lowest(s0, k)
         for x in residue:
-            non_neighbors = [u for u in s0 if not g.has_edge(x, u)]
-            mark.update(non_neighbors[: k - 1])
-        marked = tuple(sorted(mark))
-        removed = tuple(v for v in s0 if v not in mark)
+            mark |= _lowest(s0 & ~g.adj[x], k - 1)
+        marked = tuple(_bits(mark))
+        removed = tuple(_bits(s0 & ~mark))
         marked_counts.append(len(marked))
         removed_counts.append(len(removed))
         if not removed:
             break
-        removed_set = set(removed)
-        alive = [v for v in alive if v not in removed_set]
+        alive &= ~(s0 & ~mark)
 
-    out, id_map = induced_subgraph(g, alive)
+    out, id_map = induced_subgraph(g, _bits(alive))
     trace = KernelTrace(
         rounds=rounds,
         threshold=threshold,
@@ -252,7 +251,7 @@ def kernelize(
         removed=removed,
         marked_per_round=tuple(marked_counts),
         removed_per_round=tuple(removed_counts),
-        kept=tuple(alive),
+        kept=tuple(id_map),
         id_map=id_map,
     )
     return out, trace

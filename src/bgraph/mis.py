@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, _bits, _closed_non_neighborhood
+from .graph import Graph, _alive_mask, _bits, _closed_non_neighborhood, _min_degree_vertex
 
 
 class BudgetExceededError(RuntimeError):
@@ -299,29 +299,14 @@ def _witness_tuple(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
 
 
-def _greedy_independent_set(adj: tuple[int, ...] | list[int], alive: int) -> int:
+def _greedy_independent_set(g: Graph, alive: int) -> int:
     """Repeatedly take a minimum-degree vertex (lowest id); a solid seed."""
     chosen = 0
     while alive:
-        best_v = -1
-        best_deg = None
-        for v in _bits(alive):
-            deg = (adj[v] & alive).bit_count()
-            if best_deg is None or deg < best_deg:
-                best_deg = deg
-                best_v = v
-        chosen |= 1 << best_v
-        alive &= ~(adj[best_v] | (1 << best_v))
+        v, _ = _min_degree_vertex(g, alive)
+        chosen |= 1 << v
+        alive &= ~(g.adj[v] | (1 << v))
     return chosen
-
-
-def _alive_mask(g: Graph, alive: int | None) -> int:
-    """All of V(G) when alive is None; otherwise check it is a vertex mask."""
-    if alive is None:
-        return (1 << g.n) - 1
-    if alive < 0 or alive >> g.n:
-        raise ValueError(f"alive mask names vertices outside 0..{g.n - 1}")
-    return alive
 
 
 def max_independent_set(
@@ -333,7 +318,7 @@ def max_independent_set(
     uses g's vertex ids.
     """
     alive = _alive_mask(g, alive)
-    seed = _greedy_independent_set(g.adj, alive)
+    seed = _greedy_independent_set(g, alive)
     solver = _Solver(g, _Budget(budget))
     alpha, wit = solver.solve(alive, None, seed.bit_count() - 1)
     witness = _witness_tuple(wit)

@@ -11,6 +11,7 @@ from bgraph.csma import (
     throughput,
     throughput_limit,
 )
+from bgraph import extendability
 from bgraph.extendability import is_one_extendable
 from bgraph.graph import Graph
 from bgraph.mis import BudgetExceededError, independence_polynomial
@@ -129,6 +130,21 @@ def test_starvation_report():
     assert starvation_report(path_graph(5)) == (1, 3)
     assert starvation_report(path_graph(4)) == ()
     assert starvation_report(cycle_graph(6)) == ()
+
+
+def test_starvation_report_skips_best_size(monkeypatch):
+    # the scan's first alpha solve is the only max_independent_set call:
+    # starvation never reports best_size, so it never computes it
+    calls = []
+    real = extendability.max_independent_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extendability, "max_independent_set", counting)
+    assert starvation_report(path_graph(7)) == (1, 3, 5)
+    assert len(calls) == 1
 
 
 def test_sweep_format():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bgraph.graph import Graph, is_independent
+from bgraph.graph import Graph, induced_subgraph, is_independent
 from bgraph.kernelize import (
     CliqueFoundError,
     FriendlyOracle,
@@ -28,41 +30,61 @@ from helpers_brute import (
 )
 
 
+def extract_all(oracle: FriendlyOracle, g: Graph) -> tuple[int, ...]:
+    """The oracle's independent set of the whole graph, as vertex ids."""
+    found = oracle.extract(g, (1 << g.n) - 1)
+    return tuple(v for v in range(g.n) if found >> v & 1)
+
+
+def check_extract_on_mask(oracle: FriendlyOracle, g: Graph, alive: int) -> None:
+    """extract(g, alive) is the set the oracle picks on the relabelled
+    G[alive], mapped back to host ids."""
+    inside = [v for v in range(g.n) if alive >> v & 1]
+    sub, _ = induced_subgraph(g, inside)
+    found = oracle.extract(g, alive)
+    assert found & ~alive == 0
+    assert tuple(v for v in inside if found >> v & 1) == tuple(
+        inside[x] for x in extract_all(oracle, sub)
+    )
+
+
 def test_degenerate_oracle_bounds():
     rng = random.Random(71)
     g = random_degenerate_graph(rng, 20, 3)
     oracle = oracle_degenerate()
-    found = oracle.extract(g)
+    found = extract_all(oracle, g)
     assert is_independent(g, found)
     assert len(found) >= 20 * oracle.t_for(g)
     assert len(found) >= 5  # t >= 1/4 when degeneracy <= 3
 
-    assert len(oracle.extract(empty_graph(6))) == 6
-    assert len(oracle.extract(complete_graph(4))) == 1
+    assert len(extract_all(oracle, empty_graph(6))) == 6
+    assert len(extract_all(oracle, complete_graph(4))) == 1
 
 
 def test_degenerate_oracle_bound_on_random_graphs():
     rng = random.Random(72)
+    masks = random.Random(172)  # own stream: rng still draws the same graphs
     oracle = oracle_degenerate()
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 14), 0.3)
         t = oracle.t_for(g)
-        found = oracle.extract(g)
+        found = extract_all(oracle, g)
         assert is_independent(g, found)
         assert len(found) >= t * g.n
+        check_extract_on_mask(oracle, g, masks.getrandbits(g.n))
 
 
 def test_krfree_oracle_examples():
     oracle = oracle_krfree(3)
-    found = oracle.extract(cycle_graph(5))
+    found = extract_all(oracle, cycle_graph(5))
     assert is_independent(cycle_graph(5), found)
     assert len(found) == 2  # floor(sqrt(5)) = 2 needed, alpha(C5) = 2
 
-    assert len(oracle.extract(empty_graph(9))) == 9
+    assert len(extract_all(oracle, empty_graph(9))) == 9
 
     pet = petersen_graph()
     oracle.precheck(pet)  # triangle-free
-    found = oracle.extract(pet)
+    found = extract_all(oracle, pet)
     assert is_independent(pet, found)
     assert len(found) >= 3  # floor(sqrt(10)) = 3
 
@@ -86,6 +108,7 @@ def test_find_clique():
 
 def test_krfree_bound_on_random_triangle_free():
     rng = random.Random(73)
+    masks = random.Random(173)
     oracle = oracle_krfree(3)
     count = 0
     for _ in range(40):
@@ -93,9 +116,10 @@ def test_krfree_bound_on_random_triangle_free():
         if find_clique(g, 3) is not None:
             continue
         count += 1
-        found = oracle.extract(g)
+        found = extract_all(oracle, g)
         assert is_independent(g, found)
         assert (len(found) + 1) ** 2 > g.n  # floor bound
+        check_extract_on_mask(oracle, g, masks.getrandbits(g.n))
     assert count >= 10
 
 
@@ -175,16 +199,74 @@ def test_kernelize_krfree_equivalence():
     assert done >= 8
 
 
+def test_kernelize_long_path():
+    # the K_r-free extractor descends one vertex at a time: 3000 steps
+    g = path_graph(3000)
+    out, trace = kernelize(g, 3, oracle_krfree(3))
+    assert trace.rounds >= 1
+    assert out == induced_subgraph(g, trace.kept)[0]
+
+
+@st.composite
+def two_degenerate_graph(draw, max_n=14):
+    """Each vertex joins at most two earlier ones."""
+    n = draw(st.integers(0, max_n))
+    edges = []
+    for v in range(1, n):
+        earlier = draw(st.lists(st.integers(0, v - 1), max_size=2, unique=True))
+        edges.extend((u, v) for u in earlier)
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def triangle_free_graph(draw, max_n=14):
+    """Drawn edges in order, skipping any that would close a triangle."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [0] * n
+    for (u, v), k in zip(pairs, keep):
+        if k and not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        two_degenerate_graph().map(lambda g: (g, oracle_degenerate())),
+        triangle_free_graph().map(lambda g: (g, oracle_krfree(3))),
+    ),
+    st.integers(1, 3),
+)
+def test_kernel_equivalence_property(case, k):
+    g, oracle = case
+    out, trace = kernelize(g, k, oracle)
+    assert brute_param_one_extendable(g, k) == brute_param_one_extendable(out, k)
+    assert (out, trace.id_map) == induced_subgraph(g, trace.kept)
+
+
 def test_oracle_integrity_error_fires_on_broken_oracle():
     broken = FriendlyOracle(
         name="broken",
         inv_c=1,
         t_for=lambda g: Fraction(1),  # claims an IS of size n, absurd
-        extract=lambda g: (0,) if g.n else (),
+        extract=lambda g, alive: alive & -alive,
         precheck=lambda g: None,
     )
     with pytest.raises(OracleIntegrityError):
         kernelize(path_graph(6), 2, broken)
+    # always adds host vertex 0, which the first layer takes out of alive
+    leaves_alive = FriendlyOracle(
+        name="leaves-alive",
+        inv_c=2,
+        t_for=lambda g: Fraction(1),
+        extract=lambda g, alive: (alive & -alive) | 1,
+        precheck=lambda g: None,
+    )
+    with pytest.raises(OracleIntegrityError, match="alive"):
+        kernelize(empty_graph(3), 1, leaves_alive)
 
 
 def test_kernelize_rejects_bad_k():
