@@ -4,7 +4,8 @@ Decision subcommands exit 0 on a positive decision, 1 on a negative one,
 2 on input errors, 3 when the search budget ran out (a non-answer,
 deliberately distinct from "no"), and 4 on an internal error, so that a
 crash never reads as "no".  Reports go to stdout as JSON (or CSV for
-sweeps), graphs are written to files, diagnostics to stderr.
+sweeps), graphs are written to files, diagnostics to stderr.  --budget
+caps the search nodes of the whole command, not of each internal solve.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ usually far cheaper than re-solving the whole graph.
 Witnesses are reused: every vertex of a target-size witness found so far
 (the first maximum independent set included) is covered by that witness,
 so only vertices no witness contains are queried.  Each query covers at
-least its own vertex, which caps the queries at n - alpha.
+least its own vertex, which caps the queries at n - alpha.  One solver,
+and so one budget, serves every solve of a report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph, _closed_non_neighborhood
-from .mis import has_k_is_containing, max_independent_set
+from .mis import _Solver, _witness_tuple
 
 
 @dataclass(frozen=True)
@@ -60,39 +61,39 @@ class ExtendabilityReport:
 
 def _scan(
     g: Graph,
+    solver: _Solver,
     k: int,
-    budget: int | None,
-    known: tuple[int, ...],
+    known: int,
     diagnose: bool,
     stop_at_first_uncovered: bool,
 ) -> list[VertexVerdict]:
-    """Verdicts in vertex order for membership in a size-k independent set.
+    """Verdicts in vertex order for membership in a size-k independent set,
+    k >= 1.
 
-    known is a size-k independent set already in hand.  A vertex inside a
-    witness found so far gets the first such witness; only the others are
-    queried, and each successful query's witness covers its members too.
+    known is a size-k independent set already in hand (a mask, 0 for
+    none).  A vertex inside a witness found so far gets the first such
+    witness; only the others are queried, and each successful query's
+    witness covers its members too.
     """
-    witness_of: dict[int, tuple[int, ...]] = {}
-
-    def learn(wit: tuple[int, ...]) -> None:
-        for u in wit:
-            witness_of.setdefault(u, wit)
-
-    learn(known)
+    # witness masks in the order found, each with its tuple form
+    found = {known: _witness_tuple(known)}
+    covered = known
     verdicts: list[VertexVerdict] = []
     for v in range(g.n):
-        wit = witness_of.get(v)
-        if wit is None:
-            found, wit = has_k_is_containing(g, v, k, budget)
-            if found:
-                learn(wit)
-        if wit is not None:
+        bit = 1 << v
+        if not covered & bit:
+            rest = solver.find(_closed_non_neighborhood(g, v), k - 1)
+            if rest is not None:
+                found[rest | bit] = _witness_tuple(rest | bit)
+                covered |= rest | bit
+        if covered & bit:
+            wit = next(t for w, t in found.items() if w & bit)
             verdicts.append(VertexVerdict(v, True, wit, None))
             continue
         best = None
         if diagnose:
             # alpha(G - N(v)) = 1 + alpha(G - N[v]): v is isolated there
-            best = 1 + max_independent_set(g, budget, _closed_non_neighborhood(g, v)).alpha
+            best = 1 + solver.maximum(_closed_non_neighborhood(g, v)).bit_count()
         verdicts.append(VertexVerdict(v, False, None, best))
         if stop_at_first_uncovered:
             break
@@ -103,11 +104,13 @@ def _report(
     g: Graph, budget: int | None, diagnose: bool, stop_at_first_uncovered: bool
 ) -> ExtendabilityReport:
     """is_one_extendable, with best_size computed only when diagnose is set."""
-    first = max_independent_set(g, budget)
-    verdicts = _scan(g, first.alpha, budget, first.witness, diagnose, stop_at_first_uncovered)
+    solver = _Solver(g, budget)
+    first = solver.maximum((1 << g.n) - 1)
+    alpha = first.bit_count()
+    verdicts = _scan(g, solver, alpha, first, diagnose, stop_at_first_uncovered)
     all_covered = all(v.covered for v in verdicts)
     complete = len(verdicts) == g.n
-    return ExtendabilityReport(first.alpha, all_covered, tuple(verdicts), complete)
+    return ExtendabilityReport(alpha, all_covered, tuple(verdicts), complete)
 
 
 def is_one_extendable(
@@ -124,8 +127,9 @@ def is_one_extendable(
     Vertices are scanned in id order.  A vertex that lies in the first
     maximum independent set, or in a witness found for an earlier vertex,
     reuses that witness; only the remaining vertices are queried, so there
-    are at most n - alpha queries.  The budget caps each internal solver
-    invocation separately.
+    are at most n - alpha queries.  The budget caps the search nodes of
+    the whole report: the first maximum independent set, every vertex
+    query and every best_size diagnostic share one solver.
     """
     return _report(g, budget, True, stop_at_first_uncovered)
 
@@ -135,10 +139,13 @@ def param_one_extendability(
 ) -> tuple[bool, tuple[VertexVerdict, ...]]:
     """Does every vertex belong to an independent set of size k?
 
-    Witnesses are reused as in is_one_extendable; the budget caps each
-    query separately.
+    Witnesses are reused as in is_one_extendable, and the budget caps the
+    search nodes of all queries together.  For k = 0 every vertex is
+    covered by the empty set.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    verdicts = _scan(g, k, budget, (), False, False)
+    if k == 0:
+        return True, tuple(VertexVerdict(v, True, (), None) for v in range(g.n))
+    verdicts = _scan(g, _Solver(g, budget), k, 0, False, False)
     return all(v.covered for v in verdicts), tuple(verdicts)

@@ -9,7 +9,8 @@ Optional string labels carry provenance through graph constructions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphParseError(ValueError):
@@ -253,6 +254,24 @@ def _min_degree_vertex(g: Graph, alive: int) -> tuple[int, int]:
             best_deg = deg
             best = v
     return best, best_deg
+
+
+def _max_degree_vertex(adj: Sequence[int], candidates: int, alive: int) -> int:
+    """The vertex of candidates with the most neighbors in alive (lowest id
+    breaks ties); adj may carry rows beyond the host graph's vertices."""
+    best = -1
+    best_deg = -1
+    for v in _bits(candidates):
+        deg = (adj[v] & alive).bit_count()
+        if deg > best_deg:
+            best_deg = deg
+            best = v
+    return best
+
+
+def _lowest(mask: int, count: int) -> int:
+    """The count lowest-id vertices of mask, as a mask."""
+    return sum(1 << v for v in islice(_bits(mask), count))
 
 
 def degeneracy_order(g: Graph, alive: int | None = None) -> tuple[tuple[int, ...], int]:

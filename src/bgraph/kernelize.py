@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable
 
-from .graph import Graph, _bits, _min_degree_vertex, degeneracy_order, induced_subgraph
+from .graph import Graph, _bits, _lowest, _min_degree_vertex, degeneracy_order, induced_subgraph
 
 
 class OracleIntegrityError(RuntimeError):
@@ -179,11 +178,6 @@ def _check_bound(size: int, n: int, t: Fraction, inv_c: int, oracle: str) -> Non
         raise OracleIntegrityError(
             f"oracle {oracle} returned {size} vertices on an {n}-vertex graph"
         )
-
-
-def _lowest(mask: int, count: int) -> int:
-    """The count lowest-id vertices of mask, as a mask."""
-    return sum(1 << v for v in islice(_bits(mask), count))
 
 
 def kernelize(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, _alive_mask, _bits, _closed_non_neighborhood, _min_degree_vertex
+from .graph import Graph, _alive_mask, _bits, _closed_non_neighborhood, _lowest, _max_degree_vertex
 
 
 class BudgetExceededError(RuntimeError):
@@ -113,17 +113,35 @@ def _clique_cover(adj: list[int], alive: int) -> tuple[int, int]:
 
 
 class _Solver:
-    """Exact MIS over bitmask subproblems of one host graph.
+    """Exact MIS queries over bitmask subproblems of one host graph.
 
-    Vertex folding appends temporary vertices to the adjacency table; fold
-    slots are released LIFO when their search node finishes, so masks stay
-    short-lived and bounded.
+    One solver serves a whole request, so its budget caps the search nodes
+    of all its queries together.  Vertex folding appends temporary vertices
+    to the adjacency table; fold slots are released LIFO when their search
+    node finishes, so masks stay short-lived and bounded, and every query
+    numbers its fold slots as a fresh solver would.
     """
 
-    def __init__(self, g: Graph, budget: _Budget):
+    def __init__(self, g: Graph, budget: int | None):
         self.adj: list[int] = list(g.adj)
-        self.budget = budget
+        self.budget = _Budget(budget)
         self.free: list[int] = []
+
+    def maximum(self, alive: int) -> int:
+        """A maximum independent set of G[alive], as a mask."""
+        alpha, wit = self.solve(alive, None, -1)
+        assert wit.bit_count() == alpha
+        return wit
+
+    def find(self, alive: int, k: int) -> int | None:
+        """Some size-k independent set of G[alive] as a mask, or None if
+        alpha(G[alive]) < k."""
+        if k <= 0:
+            return 0
+        if k > alive.bit_count():
+            return None
+        size, wit = self.solve(alive, k, k - 1)
+        return _lowest(wit, k) if size >= k else None
 
     def _alloc(self, row: int) -> int:
         if self.free:
@@ -268,13 +286,7 @@ class _Solver:
             self._untranslate(0, picked, folds)
             return 0, 0
         # branch on the max-degree, lowest-id vertex of the smallest clique
-        best_v = -1
-        best_deg = -1
-        for v in _bits(clique):
-            deg = (adj[v] & alive).bit_count()
-            if deg > best_deg:
-                best_deg = deg
-                best_v = v
+        best_v = _max_degree_vertex(adj, clique, alive)
         vbit = 1 << best_v
 
         in_cap = None if cap is None else cap - count - 1
@@ -299,16 +311,6 @@ def _witness_tuple(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
 
 
-def _greedy_independent_set(g: Graph, alive: int) -> int:
-    """Repeatedly take a minimum-degree vertex (lowest id); a solid seed."""
-    chosen = 0
-    while alive:
-        v, _ = _min_degree_vertex(g, alive)
-        chosen |= 1 << v
-        alive &= ~(g.adj[v] | (1 << v))
-    return chosen
-
-
 def max_independent_set(
     g: Graph, budget: int | None = None, alive: int | None = None
 ) -> MisResult:
@@ -317,13 +319,8 @@ def max_independent_set(
     alive is a vertex bitmask over g (default: every vertex); the witness
     uses g's vertex ids.
     """
-    alive = _alive_mask(g, alive)
-    seed = _greedy_independent_set(g, alive)
-    solver = _Solver(g, _Budget(budget))
-    alpha, wit = solver.solve(alive, None, seed.bit_count() - 1)
-    witness = _witness_tuple(wit)
-    assert len(witness) == alpha
-    return MisResult(alpha, witness)
+    witness = _witness_tuple(_Solver(g, budget).maximum(_alive_mask(g, alive)))
+    return MisResult(len(witness), witness)
 
 
 def find_independent_set(
@@ -331,16 +328,8 @@ def find_independent_set(
 ) -> tuple[int, ...] | None:
     """Some independent set of size exactly k inside G[alive], or None if
     alpha(G[alive]) < k.  alive defaults to every vertex."""
-    alive = _alive_mask(g, alive)
-    if k <= 0:
-        return ()
-    if k > alive.bit_count():
-        return None
-    solver = _Solver(g, _Budget(budget))
-    size, wit = solver.solve(alive, k, k - 1)
-    if size < k:
-        return None
-    return _witness_tuple(wit)[:k]
+    found = _Solver(g, budget).find(_alive_mask(g, alive), k)
+    return None if found is None else _witness_tuple(found)
 
 
 def has_k_is_containing(
@@ -354,10 +343,10 @@ def has_k_is_containing(
     alive = _closed_non_neighborhood(g, v)
     if k == 0:
         return True, ()
-    found = find_independent_set(g, k - 1, budget, alive)
+    found = _Solver(g, budget).find(alive, k - 1)
     if found is None:
         return False, None
-    return True, tuple(sorted(found + (v,)))
+    return True, _witness_tuple(found | 1 << v)
 
 
 class _PolynomialMemo:
@@ -365,9 +354,9 @@ class _PolynomialMemo:
     component products; all roots share one mask-keyed memo and one budget,
     spent once per memo miss."""
 
-    def __init__(self, g: Graph, budget: _Budget):
+    def __init__(self, g: Graph, budget: int | None):
         self.adj = g.adj
-        self.budget = budget
+        self.budget = _Budget(budget)
         self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
     def poly(self, mask: int) -> tuple[int, ...]:
@@ -387,13 +376,7 @@ class _PolynomialMemo:
                         out[i + j] += x * y
                 acc = tuple(out)
         else:
-            best_v = -1
-            best_deg = -1
-            for v in _bits(mask):
-                deg = (adj[v] & mask).bit_count()
-                if deg > best_deg:
-                    best_deg = deg
-                    best_v = v
+            best_v = _max_degree_vertex(adj, mask, mask)
             without = self.poly(mask & ~(1 << best_v))
             closed = self.poly(mask & ~(adj[best_v] | (1 << best_v)))
             out = [0] * max(len(without), len(closed) + 1)
@@ -411,7 +394,7 @@ def independence_polynomial(
 ) -> IndependencePolynomial:
     """Exact coefficients of I(G[alive]), memoized by vertex mask.  alive
     defaults to every vertex."""
-    coeffs = _PolynomialMemo(g, _Budget(budget)).poly(_alive_mask(g, alive))
+    coeffs = _PolynomialMemo(g, budget).poly(_alive_mask(g, alive))
     assert coeffs[0] == 1 and coeffs[-1] >= 1
     return IndependencePolynomial(coeffs)
 
@@ -421,7 +404,7 @@ def neighborhood_polynomials(
 ) -> tuple[IndependencePolynomial, tuple[IndependencePolynomial, ...]]:
     """(I(G), (I(G - N[v]) for v in V)) from one shared memo; the budget
     bounds the search nodes of all n + 1 polynomials together."""
-    memo = _PolynomialMemo(g, _Budget(budget))
+    memo = _PolynomialMemo(g, budget)
     full = IndependencePolynomial(memo.poly((1 << g.n) - 1))
     rest = (_closed_non_neighborhood(g, v) for v in range(g.n))
     return full, tuple(IndependencePolynomial(memo.poly(mask)) for mask in rest)

@@ -76,9 +76,6 @@ class RectilinearFormula:
     def appearances(self, var: int) -> int:
         return sum(1 for c in self.clauses for leg in c.legs if leg.var == var)
 
-    def clause_vars(self, j: int) -> tuple[int, int, int]:
-        return tuple(leg.var for leg in self.clauses[j].legs)
-
     def satisfied_by(self, assignment: dict[int, bool]) -> bool:
         for c in self.clauses:
             values = [assignment[leg.var] for leg in c.legs]
@@ -203,11 +200,9 @@ class Crossing:
 @dataclass(frozen=True, eq=False)
 class EmbeddedGraph:
     graph: Graph
-    coords: dict[int, tuple[Fraction, Fraction]]
     curve_class: dict[tuple[int, int], str]
     crossings: tuple[Crossing, ...]
     chains: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    triangles: tuple[tuple[int, int, int], ...]
     pendant_ids: tuple[int, ...]
     cycle_vertex_count: int
 
@@ -323,7 +318,6 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
     list of the drawn embedding."""
     if formula.m == 0:
         raise FormulaError("formula has no clauses")
-    h = min(min(abs(c.y) for c in formula.clauses), Fraction(1)) / 2
     pos_ys = [c.y for c in formula.clauses if c.positive]
     neg_ys = [c.y for c in formula.clauses if not c.positive]
     y_plus = (max(pos_ys) + 1) if pos_ys else Fraction(1)
@@ -331,7 +325,6 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
 
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
-    coords: dict[int, tuple[Fraction, Fraction]] = {}
     curve: dict[tuple[int, int], str] = {}
 
     def record_edge(u, v, cls):
@@ -354,15 +347,13 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
             continue
         bottoms = []
         tops = []
-        for s, (x, j, q, positive) in enumerate(apps, start=1):
+        for s, (_, j, q, positive) in enumerate(apps, start=1):
             bot, top = nxt, nxt + 1
             nxt += 2
             bottoms.append(bot)
             tops.append(top)
             labels[bot] = f"x:{formula.var_names[i]}:{s}"
             labels[top] = f"xbar:{formula.var_names[i]}:{s}"
-            coords[bot] = (x, -h)
-            coords[top] = (x, h)
             slot_vertex[(j, q)] = top if positive else bot
         cycle_count += 2 * r
         for s in range(r):
@@ -377,18 +368,16 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
         triangles.append(v)
         for q in range(3):
             labels[v[q]] = f"t:{j}:{q + 1}"
-            coords[v[q]] = (c.legs[q].x, c.y)
         record_edge(v[0], v[1], "t-straight")
         record_edge(v[1], v[2], "t-straight")
         record_edge(v[0], v[2], "t-flat")
         for q in range(3):
             record_edge(v[q], slot_vertex[(j, q)], "leg")
-    for j, c in enumerate(formula.clauses):
+    for j in range(formula.m):
         pi = nxt
         nxt += 1
         pendant_ids.append(pi)
         labels[pi] = f"pi:{j}"
-        coords[pi] = (c.legs[1].x, y_plus if c.positive else y_minus)
         for q in range(3):
             record_edge(triangles[j][q], pi, "pendant")
 
@@ -439,11 +428,9 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
 
     return EmbeddedGraph(
         graph=graph,
-        coords=coords,
         curve_class=curve,
         crossings=tuple(crossings),
         chains=chains,
-        triangles=tuple(triangles),
         pendant_ids=tuple(pendant_ids),
         cycle_vertex_count=cycle_count,
     )

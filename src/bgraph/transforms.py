@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph, _closed_non_neighborhood
-from .mis import max_independent_set
+from .mis import _Solver
 
 
 @dataclass(frozen=True)
@@ -311,6 +311,12 @@ def constrained_alpha(
 ) -> int:
     """Max independent-set size among sets containing forced_in and avoiding
     forced_out; -1 when forced_in is not independent."""
+    return _constrained_alpha(_Solver(g, budget), g, forced_in, forced_out)
+
+
+def _constrained_alpha(
+    solver: _Solver, g: Graph, forced_in: tuple[int, ...], forced_out: tuple[int, ...]
+) -> int:
     alive = (1 << g.n) - 1
     base = 0
     for v in forced_in:
@@ -321,28 +327,27 @@ def constrained_alpha(
         base += 1
     for v in forced_out:
         alive &= ~(1 << v)
-    return base + max_independent_set(g, budget, alive).alpha
+    return base + solver.maximum(alive).bit_count()
 
 
 def gadget_table(gadget: GadgetGraph | None = None, budget: int | None = None) -> dict[tuple[int, int], int]:
     """Largest independent set sizes by forced intersection with {x,x'}, {y,y'}.
 
-    Keyed (|S cap X|, |S cap Y|); the gadget is symmetric in x <-> x' and
-    y <-> y' so one representative per cell suffices.
+    Keyed (|S cap X|, |S cap Y|); every forced intersection is solved, on
+    one solver whose budget caps all 16 solves together.
     """
     gad = gadget or gjs_gadget()
     g = gad.graph
+    solver = _Solver(g, budget)
     ex = (gad.x, gad.x_prime)
     wy = (gad.y, gad.y_prime)
-    choice = {0: ((), ex), 1: ((ex[0],), (ex[1],)), 2: (ex, ())}
-    choice_y = {0: ((), wy), 1: ((wy[0],), (wy[1],)), 2: (wy, ())}
     table = {}
     for i in range(3):
         for j in range(3):
             best = -1
             for xin, xout in _cell_options(ex, i):
                 for yin, yout in _cell_options(wy, j):
-                    best = max(best, constrained_alpha(g, xin + yin, xout + yout, budget))
+                    best = max(best, _constrained_alpha(solver, g, xin + yin, xout + yout))
             table[(i, j)] = best
     return table
 
@@ -376,7 +381,6 @@ def _splice_gadgets(
     g: Graph,
     events: list[tuple[tuple[int, int], tuple[int, int]]],
     chains: dict[tuple[int, int], list[tuple[int, int]]],
-    label_prefix: str = "gjs",
 ) -> tuple[Graph, TransformCertificate]:
     """Replace each event (x-side edge, y-side edge) by a fresh gadget.
 
@@ -396,7 +400,7 @@ def _splice_gadgets(
         for u, v in _GADGET_EDGES:
             edges.append((nxt + u, nxt + v))
         for off, role in enumerate(_GADGET_ROLES):
-            labels[nxt + off] = f"{label_prefix}{i}:{role}"
+            labels[nxt + off] = f"gjs{i}:{role}"
         nxt += _GADGET_N
     for (a, b), stops in chains.items():
         prev = a

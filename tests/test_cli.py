@@ -214,6 +214,9 @@ def test_budget_exit_3(capsys, tmp_path, p4_file):
     assert code == 3
     code, out, err = run(capsys, ["limit", p4_file, "--budget", "1"])
     assert code == 3 and out == "" and "budget" in err
+    # each solver call of the P4 scan fits in one node; the scan needs two
+    code, out, err = run(capsys, ["check-1ext", p4_file, "--budget", "1"])
+    assert code == 3 and out == "" and "budget" in err
 
 
 def test_internal_error_exit_4(capsys, monkeypatch, p5_file):

@@ -11,7 +11,7 @@ from bgraph.csma import (
     throughput,
     throughput_limit,
 )
-from bgraph import extendability
+from bgraph import mis
 from bgraph.extendability import is_one_extendable
 from bgraph.graph import Graph
 from bgraph.mis import BudgetExceededError, independence_polynomial
@@ -133,16 +133,16 @@ def test_starvation_report():
 
 
 def test_starvation_report_skips_best_size(monkeypatch):
-    # the scan's first alpha solve is the only max_independent_set call:
+    # the scan's first alpha solve is the only maximum-set solve:
     # starvation never reports best_size, so it never computes it
     calls = []
-    real = extendability.max_independent_set
+    real = mis._Solver.maximum
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(extendability, "max_independent_set", counting)
+    monkeypatch.setattr(mis._Solver, "maximum", counting)
     assert starvation_report(path_graph(7)) == (1, 3, 5)
     assert len(calls) == 1
 

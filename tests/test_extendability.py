@@ -5,8 +5,11 @@ import json
 import pytest
 
 from bgraph import mis
+from bgraph.csma import starvation_report
 from bgraph.extendability import is_one_extendable, param_one_extendability
-from bgraph.graph import Graph, is_independent
+from bgraph.graph import Graph, _closed_non_neighborhood, is_independent
+from bgraph.mis import BudgetExceededError, has_k_is_containing, max_independent_set
+from bgraph.transforms import gadget_table
 from helpers_brute import (
     brute_alpha,
     brute_has_k_containing,
@@ -80,13 +83,13 @@ def test_coverage_and_best_size_match_brute_force():
 
 def test_queries_at_most_n_minus_alpha(monkeypatch):
     calls = []
-    real = mis.find_independent_set
+    real = mis._Solver.find
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mis, "find_independent_set", counting)
+    monkeypatch.setattr(mis._Solver, "find", counting)
     total = 0
     for g in random_graph_suite(seed=27, count=60, max_n=12, min_n=1):
         for stop in (False, True):
@@ -94,7 +97,53 @@ def test_queries_at_most_n_minus_alpha(monkeypatch):
             rep = is_one_extendable(g, stop_at_first_uncovered=stop)
             assert len(calls) <= g.n - rep.alpha
             total += len(calls)
-    assert total > 0  # the queries still go through find_independent_set
+    assert total > 0  # the vertex queries are the solver's size-k queries
+
+
+def test_budget_bounds_the_whole_report():
+    # every solver call of the P7 report fits in one search node on its
+    # own: the alpha solve, each vertex query and each best_size solve;
+    # the report spends seven nodes, starvation four, the k = 4 scan four
+    g = path_graph(7)
+    cap = 1
+    max_independent_set(g, budget=cap)
+    for v in range(g.n):
+        has_k_is_containing(g, v, 4, budget=cap)
+        max_independent_set(g, budget=cap, alive=_closed_non_neighborhood(g, v))
+    with pytest.raises(BudgetExceededError):
+        is_one_extendable(g, budget=cap)
+    with pytest.raises(BudgetExceededError):
+        starvation_report(g, budget=cap)
+    with pytest.raises(BudgetExceededError):
+        param_one_extendability(g, 4, budget=cap)
+    assert is_one_extendable(g, budget=7) == is_one_extendable(g)
+
+
+def test_one_solver_and_one_budget_per_request(monkeypatch):
+    built = []
+
+    def counted(cls):
+        real = cls.__init__
+
+        def init(self, *args):
+            built.append(cls.__name__)
+            real(self, *args)
+
+        return init
+
+    for cls in (mis._Solver, mis._Budget):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    requests = [
+        lambda: is_one_extendable(path_graph(7)),
+        lambda: is_one_extendable(path_graph(7), stop_at_first_uncovered=True),
+        lambda: param_one_extendability(path_graph(7), 3),
+        lambda: starvation_report(path_graph(7)),
+        gadget_table,
+    ]
+    for request in requests:
+        built.clear()
+        request()
+        assert sorted(built) == ["_Budget", "_Solver"]
 
 
 def test_matches_brute_force():
@@ -117,7 +166,7 @@ def test_param_examples():
     ok, _ = param_one_extendability(cycle_graph(5), 2)
     assert ok
     ok, verdicts = param_one_extendability(star, 0)
-    assert ok and all(v.covered for v in verdicts)
+    assert ok and all(v.covered and v.witness == () for v in verdicts)
 
 
 def test_param_at_alpha_equals_one_extendability():

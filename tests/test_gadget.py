@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from bgraph.transforms import gadget_table, gjs_gadget
+import pytest
+
+from bgraph.mis import BudgetExceededError
+from bgraph.transforms import _cell_options, constrained_alpha, gadget_table, gjs_gadget
 from helpers_brute import brute_alpha
 
 EXPECTED_TABLE = {
@@ -82,6 +85,23 @@ def test_gadget_table_matches_paper_brute_force():
 
 def test_gadget_table_function_agrees():
     assert gadget_table() == EXPECTED_TABLE
+
+
+def test_gadget_table_budget_bounds_all_solves():
+    # each of the 16 constrained solves fits in 4 search nodes on its own;
+    # the table needs 22
+    gad = gjs_gadget()
+    ex = (gad.x, gad.x_prime)
+    wy = (gad.y, gad.y_prime)
+    x_options = [opt for count in range(3) for opt in _cell_options(ex, count)]
+    y_options = [opt for count in range(3) for opt in _cell_options(wy, count)]
+    cap = 4
+    for xin, xout in x_options:
+        for yin, yout in y_options:
+            constrained_alpha(gad.graph, xin + yin, xout + yout, budget=cap)
+    with pytest.raises(BudgetExceededError):
+        gadget_table(gad, budget=cap)
+    assert gadget_table(gad, budget=22) == EXPECTED_TABLE
 
 
 def test_gadget_unique_endpoint_pattern_mis_cover_everything():
