@@ -60,8 +60,9 @@ def _load_graph(path: str) -> Graph:
 
 
 def _write_graph(g: Graph, path: str) -> None:
+    text = serialize_graph(g)  # may raise; leave no truncated file behind
     with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_graph(g))
+        f.write(text)
 
 
 def _emit(payload: dict) -> None:
@@ -151,17 +152,30 @@ def _cmd_gadget(args) -> int:
     return EXIT_OK
 
 
+def _parse_specs(text: str) -> list[CrossingSpec]:
+    """[{through: [u, v], crossed: [[a, b], ...]}, ...] as crossing specs."""
+
+    def edge(value) -> tuple[int, int]:
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(x) is int for x in value)):
+            raise ValueError(f"expected an edge [u, v] of vertex ids, got {value!r}")
+        return value[0], value[1]
+
+    data = json.loads(text)
+    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
+        raise ValueError("crossing specs must be a JSON list of objects")
+    specs = []
+    for entry in data:
+        crossed = entry["crossed"]
+        if not isinstance(crossed, list):
+            raise ValueError(f"'crossed' must be a list of edges, got {crossed!r}")
+        specs.append(CrossingSpec(edge(entry["through"]), tuple(edge(e) for e in crossed)))
+    return specs
+
+
 def _cmd_replace_crossings(args) -> int:
     g = _load_graph(args.graph)
-    data = json.loads(_read(args.specs))
-    specs = [
-        CrossingSpec(
-            tuple(entry["through"]),
-            tuple(tuple(e) for e in entry["crossed"]),
-        )
-        for entry in data
-    ]
-    out, cert = replace_crossings(g, specs)
+    out, cert = replace_crossings(g, _parse_specs(_read(args.specs)))
     _write_graph(out, args.out)
     _emit({"n": out.n, "m": out.m, "out": args.out, "certificate": cert.to_json_dict()})
     return EXIT_OK

@@ -173,13 +173,21 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Inverse of parse_graph; edges in ascending (u, v) order, LF endings."""
+    """Inverse of parse_graph; edges in ascending (u, v) order, LF endings.
+
+    Raises ValueError for a label that would not parse back unchanged: an
+    empty one, one with leading or trailing whitespace, or one containing
+    a line break.
+    """
     edges = g.edges()
     out = [f"{g.n} {len(edges)}"]
     out.extend(f"{u} {v}" for u, v in edges)
-    for v in range(g.n):
-        if g.labels[v] is not None:
-            out.append(f"# label {v} {g.labels[v]}")
+    for v, label in enumerate(g.labels):
+        if label is None:
+            continue
+        if label.strip() != label or label.splitlines() != [label]:
+            raise ValueError(f"label of vertex {v} cannot be written: {label!r}")
+        out.append(f"# label {v} {label}")
     return "\n".join(out) + "\n"
 
 

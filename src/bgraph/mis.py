@@ -171,8 +171,7 @@ class _Solver:
             touched = 0
             for x in _bits(mask):
                 touched |= adj[x]
-            for t in _bits(touched & alive):
-                stack.append(t)
+            stack.extend(_bits(touched & alive))
 
         while True:
             while stack:
@@ -181,34 +180,27 @@ class _Solver:
                     continue
                 row = adj[v] & alive
                 deg = row.bit_count()
-                if deg == 0:
+                if deg > 2:
+                    continue
+                closed = row | (1 << v)
+                u = (row & -row).bit_length() - 1
+                w = (row & (row - 1)).bit_length() - 1
+                if deg < 2 or adj[u] >> w & 1:  # N(v) is a clique: take v
                     picked |= 1 << v
                     count += 1
-                    alive &= ~(1 << v)
-                elif deg == 1:
-                    picked |= 1 << v
-                    count += 1
-                    drop((1 << v) | row)
-                elif deg == 2:
-                    u = (row & -row).bit_length() - 1
-                    w = (row & (row - 1)).bit_length() - 1
-                    if adj[u] >> w & 1:
-                        picked |= 1 << v
-                        count += 1
-                        drop(row | (1 << v))
-                    else:
-                        new_row = (adj[u] | adj[w]) & alive & ~(row | (1 << v))
-                        trio = row | (1 << v)
-                        alive &= ~trio
-                        f = self._alloc(new_row)
-                        for t in _bits(new_row):
-                            adj[t] |= 1 << f
-                        alive |= 1 << f
-                        count += 1
-                        folds.append((f, v, u, w, new_row))
-                        stack.append(f)
-                        for t in _bits(new_row):
-                            stack.append(t)
+                    drop(closed)
+                    continue
+                # fold the induced path u - v - w into one vertex f
+                new_row = (adj[u] | adj[w]) & alive & ~closed
+                alive &= ~closed
+                f = self._alloc(new_row)
+                for t in _bits(new_row):
+                    adj[t] |= 1 << f
+                alive |= 1 << f
+                count += 1
+                folds.append((f, v, u, w, new_row))
+                stack.append(f)
+                stack.extend(_bits(new_row))
             # domination: drop v when a live neighbor's closed neighborhood
             # is contained in v's (any solution using v swaps to it);
             # deletions apply one at a time so mutual twins lose one side only
@@ -222,10 +214,7 @@ class _Solver:
                         break
             if not dropped:
                 break
-            touched = 0
-            for x in _bits(dropped):
-                touched |= adj[x]
-            stack.extend(_bits(touched & alive))
+            drop(dropped)
         return count, picked, folds, alive
 
     def _untranslate(self, witness: int, picked: int, folds) -> int:

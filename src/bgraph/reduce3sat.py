@@ -86,15 +86,23 @@ class RectilinearFormula:
         return True
 
 
+def _objects(value, what: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(row, dict) for row in value):
+        raise FormulaError(f"{what} must be a list of objects")
+    return value
+
+
 def parse_pmr3sat(text: str) -> RectilinearFormula:
     """Parse and validate the JSON layout document."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormulaError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FormulaError("the document must be a JSON object")
     names: list[str] = []
     xs: list[Fraction] = []
-    for row in data.get("variables", []):
+    for row in _objects(data.get("variables", []), "variables"):
         names.append(str(row["name"]))
         xs.append(Fraction(str(row["x"])))
     if not names:
@@ -113,7 +121,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
         return lo, hi
 
     clauses: list[RectClause] = []
-    for cnum, row in enumerate(data.get("clauses", [])):
+    for cnum, row in enumerate(_objects(data.get("clauses", []), "clauses")):
         sign = row.get("sign")
         if sign not in ("+", "-"):
             raise FormulaError(f"clause {cnum}: sign must be '+' or '-'")
@@ -123,7 +131,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
             raise FormulaError(
                 f"clause {cnum}: y-level {y} inconsistent with sign {sign}"
             )
-        raw_legs = row.get("legs", [])
+        raw_legs = _objects(row.get("legs", []), f"clause {cnum}: legs")
         if len(raw_legs) != 3:
             raise FormulaError(f"clause {cnum}: expected exactly 3 legs")
         legs = []
@@ -200,11 +208,9 @@ class Crossing:
 @dataclass(frozen=True, eq=False)
 class EmbeddedGraph:
     graph: Graph
-    curve_class: dict[tuple[int, int], str]
     crossings: tuple[Crossing, ...]
     chains: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     pendant_ids: tuple[int, ...]
-    cycle_vertex_count: int
 
 
 @dataclass(frozen=True)
@@ -228,63 +234,51 @@ def _cross(ox, oy, ax, ay, bx, by) -> Fraction:
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def _enumerate_side(records: list[dict], y_axis: Fraction):
-    """Crossings on one side, in mirrored coordinates with all y > 0.
+def _enumerate_side(records, y_axis: Fraction, crossings: list[Crossing], stops: dict) -> None:
+    """Append the crossings on one side to crossings, in mirrored
+    coordinates with all y > 0.
 
-    records: per clause {j, y, xs (x0<x1<x2), v (vertex ids), pi (apex id)}.
-    Returns (events, stops): events are (x_side_edge, y_side_edge) pairs;
-    stops maps oriented edges to [(sort_key, event_index, side)].
+    records: per clause (j, y, (x0 < x1 < x2), triangle vertex ids, apex id).
+    stops maps each crossed oriented edge to [(sort_key, crossing_index, side)].
     """
+
+    def add(kind, x_edge, y_edge, x_key, y_key):
+        stops.setdefault(x_edge, []).append((x_key, len(crossings), 0))
+        stops.setdefault(y_edge, []).append((y_key, len(crossings), 1))
+        crossings.append(Crossing(kind, x_edge, y_edge))
+
     pendants: list[_Pendant] = []
-    straights: list[tuple[int, dict]] = []
-    flats: list[dict] = []
-    for rec in records:
-        x0, x1, x2 = rec["xs"]
-        v0, v1, v2 = rec["v"]
-        for q, (xq, vq) in enumerate(zip(rec["xs"], rec["v"])):
-            pendants.append(
-                _Pendant(rec["j"], q, (vq, rec["pi"]), xq, rec["y"], x1, y_axis)
-            )
-        straights.append((rec["j"], {"edge": (v0, v1), "lo": x0, "hi": x1, "y": rec["y"]}))
-        straights.append((rec["j"], {"edge": (v1, v2), "lo": x1, "hi": x2, "y": rec["y"]}))
-        flats.append({"j": rec["j"], "edge": (v0, v2), "lo": x0, "hi": x2, "y": rec["y"]})
-
-    events: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    stops: dict[tuple[int, int], list] = {}
-
-    def add_stop(edge, key, idx, side):
-        stops.setdefault(edge, []).append((key, idx, side))
+    straights = []  # (edge, lo, hi, y)
+    flats = []  # (clause, edge, lo, hi, y)
+    for j, y, (x0, x1, x2), (v0, v1, v2), apex in records:
+        for q, (xq, vq) in enumerate(((x0, v0), (x1, v1), (x2, v2))):
+            pendants.append(_Pendant(j, q, (vq, apex), xq, y, x1, y_axis))
+        straights += [((v0, v1), x0, x1, y), ((v1, v2), x1, x2, y)]
+        flats.append((j, (v0, v2), x0, x2, y))
 
     for p in pendants:
-        for owner, seg in straights:
-            if seg["y"] <= p.ya:
+        for edge, lo, hi, y in straights:
+            if y <= p.ya:
                 continue
-            x = p.x_at(seg["y"])
-            if x == seg["lo"] or x == seg["hi"]:
+            x = p.x_at(y)
+            if x == lo or x == hi:
                 raise DegenerateGeometryError(
                     f"pendant edge of clause {p.clause} passes through a triangle vertex"
                 )
-            if seg["lo"] < x < seg["hi"]:
-                idx = len(events)
-                events.append((p.edge, seg["edge"]))
-                add_stop(p.edge, (seg["y"], 0, x), idx, 0)
-                add_stop(seg["edge"], (x, 0), idx, 1)
-        for flat in flats:
-            if flat["y"] < p.ya:
+            if lo < x < hi:
+                add("A", p.edge, edge, (y, 0, x), (x, 0))
+        for j, edge, lo, hi, y in flats:
+            if y < p.ya:
                 continue
-            if flat["j"] == p.clause and p.q != 1:
+            if j == p.clause and p.q != 1:
                 continue  # shares a triangle endpoint with its own long edge
-            if flat["y"] == p.ya and flat["j"] != p.clause:
-                continue  # unreachable: same-side levels are distinct
-            x = p.x_at(flat["y"])
+            x = p.x_at(y)
             drift = p.drift()
-            if (x, drift) <= (flat["lo"], 0) or (x, drift) >= (flat["hi"], 0):
+            if (x, drift) <= (lo, 0) or (x, drift) >= (hi, 0):
                 continue
-            idx = len(events)
-            events.append((p.edge, flat["edge"]))
-            add_stop(p.edge, (flat["y"], 1, x), idx, 0)
-            add_stop(flat["edge"], (x, drift), idx, 1)
+            add("A", p.edge, edge, (y, 1, x), (x, drift))
 
+    # pendants are in (clause, q) order, so p is the x side of each pair
     for i, p in enumerate(pendants):
         for p2 in pendants[i + 1:]:
             if p2.clause == p.clause:
@@ -299,18 +293,12 @@ def _enumerate_side(records: list[dict], y_axis: Fraction):
                 denom = (b1[0] - a1[0]) * (b2[1] - a2[1]) - (b1[1] - a1[1]) * (b2[0] - a2[0])
                 # parameter of the intersection along p, from a1
                 t = ((a2[0] - a1[0]) * (b2[1] - a2[1]) - (a2[1] - a1[1]) * (b2[0] - a2[0])) / denom
-                y_star = a1[1] + t * (b1[1] - a1[1])
-                x_star = a1[0] + t * (b1[0] - a1[0])
-                lowered = (p, p2) if (p.clause, p.q) < (p2.clause, p2.q) else (p2, p)
-                idx = len(events)
-                events.append((lowered[0].edge, lowered[1].edge))
-                add_stop(p.edge, (y_star, 0, x_star), idx, 0 if lowered[0] is p else 1)
-                add_stop(p2.edge, (y_star, 0, x_star), idx, 0 if lowered[0] is p2 else 1)
+                key = (a1[1] + t * (b1[1] - a1[1]), 0, a1[0] + t * (b1[0] - a1[0]))
+                add("B", p.edge, p2.edge, key, key)
             elif d1 * d2 <= 0 and d3 * d4 <= 0 and (d1 == 0 or d2 == 0 or d3 == 0 or d4 == 0):
                 raise DegenerateGeometryError(
                     f"pendant edges of clauses {p.clause} and {p2.clause} touch"
                 )
-    return events, stops
 
 
 def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
@@ -325,91 +313,46 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
 
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
-    curve: dict[tuple[int, int], str] = {}
-
-    def record_edge(u, v, cls):
-        edges.append((u, v))
-        curve[(min(u, v), max(u, v))] = cls
 
     # variable cycles: slot s hosts the s-th leg in x-order
     nxt = 0
     slot_vertex: dict[tuple[int, int], int] = {}  # (clause, leg position) -> cycle vertex
-    cycle_count = 0
-    for i in range(formula.n_vars):
-        apps = []
-        for j, c in enumerate(formula.clauses):
-            for q, leg in enumerate(c.legs):
-                if leg.var == i:
-                    apps.append((leg.x, j, q, c.positive))
-        apps.sort()
+    for i, name in enumerate(formula.var_names):
+        apps = sorted(
+            (leg.x, j, q, c.positive)
+            for j, c in enumerate(formula.clauses)
+            for q, leg in enumerate(c.legs)
+            if leg.var == i
+        )
         r = len(apps)
-        if r == 0:
-            continue
-        bottoms = []
-        tops = []
-        for s, (_, j, q, positive) in enumerate(apps, start=1):
-            bot, top = nxt, nxt + 1
-            nxt += 2
-            bottoms.append(bot)
-            tops.append(top)
-            labels[bot] = f"x:{formula.var_names[i]}:{s}"
-            labels[top] = f"xbar:{formula.var_names[i]}:{s}"
-            slot_vertex[(j, q)] = top if positive else bot
-        cycle_count += 2 * r
-        for s in range(r):
-            record_edge(bottoms[s], tops[s], "cycle")
-            record_edge(tops[s], bottoms[(s + 1) % r], "cycle")
+        for s, (_, j, q, positive) in enumerate(apps):
+            bot = nxt + 2 * s
+            labels[bot] = f"x:{name}:{s + 1}"
+            labels[bot + 1] = f"xbar:{name}:{s + 1}"
+            slot_vertex[(j, q)] = bot + 1 if positive else bot
+            edges += [(bot, bot + 1), (bot + 1, nxt + 2 * ((s + 1) % r))]
+        nxt += 2 * r
 
-    triangles: list[tuple[int, int, int]] = []
-    pendant_ids: list[int] = []
-    for j, c in enumerate(formula.clauses):
-        v = (nxt, nxt + 1, nxt + 2)
-        nxt += 3
-        triangles.append(v)
+    m = formula.m
+    triangles = [(nxt + 3 * j, nxt + 3 * j + 1, nxt + 3 * j + 2) for j in range(m)]
+    pendant_ids = tuple(range(nxt + 3 * m, nxt + 4 * m))
+    for j, (v, pi) in enumerate(zip(triangles, pendant_ids)):
+        labels[pi] = f"pi:{j}"
+        edges += [(v[0], v[1]), (v[1], v[2]), (v[0], v[2])]
         for q in range(3):
             labels[v[q]] = f"t:{j}:{q + 1}"
-        record_edge(v[0], v[1], "t-straight")
-        record_edge(v[1], v[2], "t-straight")
-        record_edge(v[0], v[2], "t-flat")
-        for q in range(3):
-            record_edge(v[q], slot_vertex[(j, q)], "leg")
-    for j in range(formula.m):
-        pi = nxt
-        nxt += 1
-        pendant_ids.append(pi)
-        labels[pi] = f"pi:{j}"
-        for q in range(3):
-            record_edge(triangles[j][q], pi, "pendant")
+            edges += [(v[q], slot_vertex[(j, q)]), (v[q], pi)]
+    graph = Graph.from_edges(nxt + 4 * m, edges, labels)
 
-    graph = Graph.from_edges(nxt, edges, labels)
-
-    def side_records(positive: bool):
-        recs = []
-        for j, c in enumerate(formula.clauses):
-            if c.positive != positive:
-                continue
-            y = c.y if positive else -c.y
-            recs.append(
-                {
-                    "j": j,
-                    "y": y,
-                    "xs": tuple(leg.x for leg in c.legs),
-                    "v": triangles[j],
-                    "pi": pendant_ids[j],
-                }
-            )
-        return recs
-
-    events: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    crossings: list[Crossing] = []
     stops: dict[tuple[int, int], list] = {}
     for positive, axis in ((True, y_plus), (False, -y_minus)):
-        ev, st = _enumerate_side(side_records(positive), axis)
-        offset = len(events)
-        events.extend(ev)
-        for edge, entries in st.items():
-            stops.setdefault(edge, []).extend(
-                (key, idx + offset, side) for key, idx, side in entries
-            )
+        records = [
+            (j, abs(c.y), tuple(leg.x for leg in c.legs), triangles[j], pendant_ids[j])
+            for j, c in enumerate(formula.clauses)
+            if c.positive == positive
+        ]
+        _enumerate_side(records, axis, crossings, stops)
 
     chains: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for edge, entries in stops.items():
@@ -421,19 +364,7 @@ def build_double_prime(formula: RectilinearFormula) -> EmbeddedGraph:
                 )
         chains[edge] = tuple((idx, side) for _, idx, side in entries)
 
-    crossings = []
-    for x_edge, y_edge in events:
-        kind = "B" if curve[(min(*y_edge), max(*y_edge))] == "pendant" else "A"
-        crossings.append(Crossing(kind, x_edge, y_edge))
-
-    return EmbeddedGraph(
-        graph=graph,
-        curve_class=curve,
-        crossings=tuple(crossings),
-        chains=chains,
-        pendant_ids=tuple(pendant_ids),
-        cycle_vertex_count=cycle_count,
-    )
+    return EmbeddedGraph(graph, tuple(crossings), chains, pendant_ids)
 
 
 def build_g_phi(
@@ -443,37 +374,27 @@ def build_g_phi(
     degree reduction, clause-coupling cycle."""
     emb = build_double_prime(formula)
     events = [(c.pendant, c.other) for c in emb.crossings]
-    spliced, splice_cert = _splice_gadgets(emb.graph, events, dict(emb.chains))
+    spliced, splice_cert = _splice_gadgets(emb.graph, events, emb.chains)
 
+    attach = list(emb.pendant_ids)  # z_j's neighbor
     if apply_t3:
         core, t3_cert = t3_degree_reduce(spliced)
         vertex_map = t3_cert.vertex_map
-        attach: dict[int, int] = {}
-        for j, pi in enumerate(emb.pendant_ids):
-            path = t3_cert.vertex_map[pi]
-            target = next(v for v in path if core.degree(v) <= 2)
-            attach[j] = target
+        attach = [next(v for v in vertex_map[pi] if core.degree(v) <= 2) for pi in attach]
     else:
         core = spliced
         vertex_map = {v: (v,) for v in range(spliced.n)}
-        attach = {j: pi for j, pi in enumerate(emb.pendant_ids)}
 
+    # the clause-coupling cycle z_0, zbar_0, ..., z_{m-1}, zbar_{m-1}
     m = formula.m
     base = core.n
     edges = core.edges()
     labels = {v: core.labels[v] for v in range(core.n) if core.labels[v] is not None}
-    z_ids = []
     for j in range(m):
-        z, zbar = base + 2 * j, base + 2 * j + 1
-        z_ids.append((z, zbar))
+        z = base + 2 * j
         labels[z] = f"z:{j}"
-        labels[zbar] = f"zbar:{j}"
-        edges.append((z, attach[j]))
-    for j in range(m):
-        z, zbar = z_ids[j]
-        nz = z_ids[(j + 1) % m][0]
-        edges.append((z, zbar))
-        edges.append((zbar, nz))
+        labels[z + 1] = f"zbar:{j}"
+        edges += [(z, attach[j]), (z, z + 1), (z + 1, base + 2 * ((j + 1) % m))]
     out = Graph.from_edges(base + 2 * m, edges, labels)
 
     cert = TransformCertificate(
@@ -483,10 +404,10 @@ def build_g_phi(
         data={
             "crossings": [c.to_json_dict() for c in emb.crossings],
             "pendants": list(emb.pendant_ids),
-            "z_attach": {str(j): attach[j] for j in range(m)},
-            "z_ids": [list(pair) for pair in z_ids],
+            "z_attach": {str(j): v for j, v in enumerate(attach)},
+            "z_ids": [[base + 2 * j, base + 2 * j + 1] for j in range(m)],
             "m": m,
-            "cycle_vertices": emb.cycle_vertex_count,
+            "cycle_vertices": 6 * m,  # 3 legs per clause, 2 cycle vertices per leg
             "gadgets": splice_cert.data["gadgets"],
         },
     )

@@ -445,7 +445,7 @@ def replace_crossings(
     for spec in crossings:
         for e in (spec.through,) + tuple(spec.crossed):
             ne = _norm_edge(e)
-            if not g.has_edge(*ne):
+            if not (0 <= ne[0] and ne[1] < g.n and g.has_edge(*ne)):
                 raise ValueError(f"edge {e} not present in the graph")
             if ne in used:
                 raise ValueError(f"edge {e} reused inconsistently across specs")

@@ -49,22 +49,29 @@ class DiskLayout:
 
 def parse_embedding(text: str) -> OrthogonalEmbedding:
     data = json.loads(text)
+    for key in ("vertices", "edges"):
+        rows = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise EmbeddingError(f"the embedding needs a list of {key} objects")
     coords: dict[int, Point] = {}
-    for row in data["vertices"]:
-        v = int(row["id"])
-        if v in coords:
-            raise EmbeddingError(f"vertex {v} listed twice")
-        coords[v] = (int(row["x"]), int(row["y"]))
     polylines: dict[tuple[int, int], tuple[Point, ...]] = {}
-    for row in data["edges"]:
-        u, v = int(row["u"]), int(row["v"])
-        key = (min(u, v), max(u, v))
-        if key in polylines:
-            raise EmbeddingError(f"edge {key} listed twice")
-        bends = tuple((int(x), int(y)) for x, y in row.get("bends", ()))
-        if u > v:
-            bends = tuple(reversed(bends))
-        polylines[key] = bends
+    try:
+        for row in data["vertices"]:
+            v = int(row["id"])
+            if v in coords:
+                raise EmbeddingError(f"vertex {v} listed twice")
+            coords[v] = (int(row["x"]), int(row["y"]))
+        for row in data["edges"]:
+            u, v = int(row["u"]), int(row["v"])
+            key = (min(u, v), max(u, v))
+            if key in polylines:
+                raise EmbeddingError(f"edge {key} listed twice")
+            bends = tuple((int(x), int(y)) for x, y in row.get("bends", ()))
+            if u > v:
+                bends = tuple(reversed(bends))
+            polylines[key] = bends
+    except TypeError:
+        raise EmbeddingError("ids, coordinates and bend points must be integers") from None
     return OrthogonalEmbedding(coords, polylines)
 
 
@@ -83,16 +90,12 @@ def serialize_embedding(emb: OrthogonalEmbedding) -> str:
     )
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def serialize_layout(layout: DiskLayout) -> str:
     return json.dumps(
         {
             "radius": "1",
             "points": [
-                {"id": v, "x": _frac_str(x), "y": _frac_str(y)}
+                {"id": v, "x": str(x), "y": str(y)}
                 for v, (x, y) in sorted(layout.points.items())
             ],
         },
@@ -102,10 +105,13 @@ def serialize_layout(layout: DiskLayout) -> str:
 
 def parse_layout(text: str) -> DiskLayout:
     data = json.loads(text)
-    points = {
-        int(row["id"]): (Fraction(row["x"]), Fraction(row["y"]))
-        for row in data["points"]
-    }
+    rows = data.get("points") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError("the layout needs a list of points objects")
+    try:
+        points = {int(row["id"]): (Fraction(row["x"]), Fraction(row["y"])) for row in rows}
+    except TypeError:
+        raise ValueError("point ids and coordinates must be numbers or strings") from None
     if sorted(points) != list(range(len(points))):
         raise ValueError("layout ids must be dense 0..n-1")
     return DiskLayout(points)

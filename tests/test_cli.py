@@ -205,6 +205,66 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     assert code == 2 and out == "" and "precision" in err
 
 
+def _formula(names, legs) -> str:
+    return json.dumps({
+        "variables": [{"name": name, "x": 4 * i} for i, name in enumerate(names)],
+        "clauses": [{"sign": "+", "y": 1, "legs": legs}],
+    })
+
+
+_ABC = ["a", "b", "c"]
+_K2_EMBEDDING = {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 4, "y": 0}],
+                 "edges": [{"u": 0, "v": 1, "bends": []}]}
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("reduce-3sat", "[]", id="formula-list"),
+    pytest.param("reduce-3sat", '{"variables": 5}', id="formula-variables-int"),
+    pytest.param("reduce-3sat", json.dumps({"variables": [{"name": "a", "x": 0}],
+                                            "clauses": [3]}), id="formula-clause-int"),
+    pytest.param("reduce-3sat", _formula(_ABC, [{"var": "a"}, "b", {"var": "c"}]),
+                 id="formula-leg-str"),
+    pytest.param("reduce-3sat", _formula(_ABC, 3), id="formula-legs-int"),
+    # a variable name that would break the edge-list label line
+    pytest.param("reduce-3sat", _formula(["a\n0 1", "b", "c"],
+                                         [{"var": "a\n0 1"}, {"var": "b"}, {"var": "c"}]),
+                 id="formula-name-newline"),
+    pytest.param("unitdisk", "[]", id="embedding-list"),
+    pytest.param("unitdisk", json.dumps({"vertices": 3, "edges": []}),
+                 id="embedding-vertices-int"),
+    pytest.param("unitdisk", json.dumps({**_K2_EMBEDDING, "vertices": [
+        {"id": 0, "x": None, "y": 0}, {"id": 1, "x": 4, "y": 0}]}), id="embedding-x-null"),
+    pytest.param("unitdisk", json.dumps({**_K2_EMBEDDING, "edges": [
+        {"u": 0, "v": 1, "bends": 7}]}), id="embedding-bends-int"),
+    pytest.param("verify-disks", "[]", id="layout-list"),
+    pytest.param("verify-disks", json.dumps({"points": [{"id": 0, "x": None, "y": 0}]}),
+                 id="layout-x-null"),
+    pytest.param("replace-crossings", "[3]", id="specs-int"),
+    pytest.param("replace-crossings", json.dumps([{"through": 5, "crossed": []}]),
+                 id="specs-through-int"),
+    pytest.param("replace-crossings", "{}", id="specs-object"),
+    pytest.param("replace-crossings", json.dumps([{"through": [0, 1], "crossed": [[8, 9]]}]),
+                 id="specs-vertex-out-of-range"),
+])
+def test_malformed_json_exits_2(capsys, tmp_path, command, text):
+    src = tmp_path / "two.edges"
+    src.write_text("4 2\n0 1\n2 3\n")
+    doc = tmp_path / "input.json"
+    doc.write_text(text)
+    out_path = tmp_path / "out.edges"
+    argv = {
+        "reduce-3sat": [str(doc)],
+        "unitdisk": [str(src), "--embedding", str(doc), "--layout", str(tmp_path / "l.json")],
+        "verify-disks": [str(src), "--layout", str(doc)],
+        "replace-crossings": [str(src), "--specs", str(doc)],
+    }[command]
+    if command != "verify-disks":
+        argv += ["--out", str(out_path)]
+    code, out, err = run(capsys, [command, *argv])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_budget_exit_3(capsys, tmp_path, p4_file):
     import random
     from helpers_brute import random_graph

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import random
 
+import networkx as nx
 import pytest
 
 from bgraph import mis
@@ -39,6 +41,30 @@ def test_p5_uncovered_vertices_are_1_and_3():
 def test_edgeless_is_one_extendable():
     rep = is_one_extendable(empty_graph(4))
     assert rep.is_one_extendable and rep.alpha == 4
+
+
+def test_coverage_and_best_size_match_networkx():
+    # independent sets of G are the cliques of its complement, so the
+    # largest maximal clique through v is the best independent set through v
+    rng = random.Random(24)
+    for _ in range(150):
+        n = rng.randint(1, 24)
+        p = rng.choice([0.1, 0.2, 0.3, 0.5, 0.7])
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < p])
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(n))
+        comp = nx.complement(h)
+        best = [0] * n
+        for clique in nx.find_cliques(comp):
+            for v in clique:
+                best[v] = max(best[v], len(clique))
+        rep = is_one_extendable(g)
+        assert rep.alpha == max(best)
+        for v in rep.verdicts:
+            assert v.covered == (best[v.vertex] == rep.alpha)
+            if not v.covered:
+                assert v.best_size == best[v.vertex]
 
 
 def test_witnesses_are_maximum_independent_sets_containing_vertex():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bgraph.graph import (
     Graph,
@@ -67,6 +69,35 @@ def test_roundtrip_random():
 def test_roundtrip_labels():
     g = Graph.from_edges(3, [(0, 2)], labels={1: "mid"})
     assert parse_graph(serialize_graph(g)).labels == g.labels
+
+
+@st.composite
+def labelled_graph(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    labels = draw(st.lists(st.one_of(st.none(), st.text()), min_size=n, max_size=n))
+    named = [x for x in labels if x is not None]
+    assume(len(named) == len(set(named)))
+    return Graph.from_edges(n, edges, {v: x for v, x in enumerate(labels) if x is not None})
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graph())
+def test_roundtrip_property(g):
+    # serialize_graph either refuses a label or writes text that parses back
+    try:
+        text = serialize_graph(g)
+    except ValueError:
+        return
+    again = parse_graph(text)
+    assert (again.n, again.edges(), again.labels) == (g.n, g.edges(), g.labels)
+
+
+@pytest.mark.parametrize("label", ["", " a", "a ", "a\nb", "a\r\nb", "a\x85b", "a\u2028b"])
+def test_serialize_rejects_unreadable_labels(label):
+    with pytest.raises(ValueError, match="label of vertex 0"):
+        serialize_graph(Graph.from_edges(1, [], {0: label}))
 
 
 def test_induced_subgraph_independent_set_of_path():

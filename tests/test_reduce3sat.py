@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import product
 
 import pytest
 
 from bgraph.extendability import is_one_extendable
+from bgraph.graph import serialize_graph
 from bgraph.mis import max_independent_set
 from bgraph.reduce3sat import (
     DegenerateGeometryError,
@@ -182,13 +184,29 @@ def test_parse_rejects_ordering_violations():
         parse_pmr3sat(doc([("a", 0), ("b", 4)], [("+", 1, [("a", None), ("b", None)])]))
 
 
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"variables": 5}',
+    '{"variables": [{"name": "a", "x": 0}], "clauses": [3]}',
+    doc([("a", 0)], [("+", 1, [])]).replace('"legs": []', '"legs": ["a", "a", "a"]'),
+])
+def test_parse_rejects_wrong_structure(text):
+    with pytest.raises(FormulaError, match="must be"):
+        parse_pmr3sat(text)
+
+
 # ---- intermediate graph ----
+
+def cycle_vertex_count(g) -> int:
+    """Vertices of the variable cycles, read from their x:/xbar: labels."""
+    return sum(1 for lab in g.labels if (lab or "").startswith(("x:", "xbar:")))
+
 
 @pytest.mark.parametrize("text", TINY_SAT)
 def test_double_prime_alpha_and_extendability(text):
     f = parse_pmr3sat(text)
     emb = build_double_prime(f)
-    expected_alpha = f.m + emb.cycle_vertex_count // 2
+    expected_alpha = f.m + cycle_vertex_count(emb.graph) // 2
     assert max_independent_set(emb.graph).alpha == expected_alpha
     assert is_one_extendable(emb.graph).is_one_extendable
 
@@ -197,7 +215,7 @@ def test_double_prime_shape_single_clause():
     f = parse_pmr3sat(TINY_SAT[0])
     emb = build_double_prime(f)
     assert emb.graph.n == 6 + 3 + 1
-    assert emb.cycle_vertex_count == 6
+    assert cycle_vertex_count(emb.graph) == 6
     assert max_independent_set(emb.graph).alpha == 1 + 3
 
 
@@ -214,14 +232,21 @@ def test_crossings_always_involve_pendant_edges():
     for text in TINY_SAT + [UNSAT_DOC]:
         emb = build_double_prime(parse_pmr3sat(text))
         assert len(emb.crossings) >= 1
+        labels = emb.graph.labels
         for c in emb.crossings:
             assert c.kind in ("A", "B")
-            assert emb.curve_class[tuple(sorted(c.pendant))] == "pendant"
-            other_cls = emb.curve_class[tuple(sorted(c.other))]
+            # a pendant edge joins t:j:* to pi:j
+            t, pi = (labels[v] for v in c.pendant)
+            j = pi.split(":")[1]
+            assert t.startswith(f"t:{j}:") and pi == f"pi:{j}"
+            assert emb.graph.has_edge(*c.pendant) and emb.graph.has_edge(*c.other)
+            ends = [labels[v] for v in c.other]
             if c.kind == "A":
-                assert other_cls in ("t-straight", "t-flat")
+                # the other edge is a triangle edge of one clause
+                clauses = {lab.split(":")[1] for lab in ends}
+                assert all(lab.startswith("t:") for lab in ends) and len(clauses) == 1
             else:
-                assert other_cls == "pendant"
+                assert any(lab.startswith("pi:") for lab in ends)
 
 
 def test_every_clause_self_crossing_present():
@@ -267,7 +292,7 @@ def test_g_phi_alpha_formula():
     for text in (TINY_SAT[0], TINY_SAT[1], UNSAT_DOC):
         f = parse_pmr3sat(text)
         emb = build_double_prime(f)
-        spliced_alpha = f.m + emb.cycle_vertex_count // 2 + 9 * len(emb.crossings)
+        spliced_alpha = f.m + cycle_vertex_count(emb.graph) // 2 + 9 * len(emb.crossings)
         g, _ = build_g_phi(f)
         assert max_independent_set(g).alpha == spliced_alpha + f.m
 
@@ -331,3 +356,30 @@ def test_g_phi_certificate_structure():
     z, zbar = data["z_ids"][0]
     assert g.has_edge(z, data["z_attach"]["0"])
     assert g.has_edge(z, zbar)
+
+
+# SHA-256 of serialize_graph(g) + cert.to_json() for TINY_SAT + [UNSAT_DOC],
+# without and with t3: any change to the compiled bytes is a change of the
+# reduction's output format and must show up here
+G_PHI_DIGESTS = [
+    ("591b8aa90df852a10efbbd83645a093046a7f5ee5138cb3cd89fc8461e8c63fd",
+     "1430a39ee20a997891cb4c5444f8331cc2270c59c9bcfdd8a257492ca04ca699"),
+    ("6314d3e3c6e0ed30f87359cf5c7852635adb0c4624069ccb1fd5eea18924b783",
+     "6b77bba917430e8e07249f3e925625392968fab514c3b9e284f2b3df8bbe760a"),
+    ("e40d4c90a6cdc9e1344bbc304a8271d8beafe85a41be4199f2cc38f7d2a439ea",
+     "78a5319a3e0a6ddac2f1111c961f14beadefa53f75de49549b389e47127a0ddf"),
+    ("3140bc890bbcf44ced8bfc8de5f2bffb5b3541ee140e70cbfa8c9d5e0d9d0489",
+     "272a37fbc623a5a07e3dd9be0f28750eaedd06c42b0caee48afa430117dff880"),
+    ("1de6ca5608dc96f51cddc08157a003070caacfaf17a9465093983eb439a7fd03",
+     "e0f36a0d7445c6cfc13d42f1032f5615b8ecb642d152a047e576187fbeea715a"),
+]
+
+
+@pytest.mark.parametrize("text, digests", zip(TINY_SAT + [UNSAT_DOC], G_PHI_DIGESTS),
+                         ids=["sat0", "sat1", "nested", "sat3", "unsat"])
+def test_g_phi_output_is_pinned(text, digests):
+    f = parse_pmr3sat(text)
+    for t3, expected in zip((False, True), digests):
+        g, cert = build_g_phi(f, apply_t3=t3)
+        blob = (serialize_graph(g) + cert.to_json()).encode()
+        assert hashlib.sha256(blob).hexdigest() == expected

@@ -157,6 +157,17 @@ def test_embedding_validation_errors():
         )
 
 
+def test_parsers_reject_wrong_structure():
+    for text in ("[]", '{"vertices": 3, "edges": []}',
+                 '{"vertices": [{"id": 0, "x": null, "y": 0}], "edges": []}',
+                 '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [5]}]}'):
+        with pytest.raises(EmbeddingError):
+            parse_embedding(text)
+    for text in ("[]", '{"points": 3}', '{"points": [{"id": 0, "x": null, "y": 0}]}'):
+        with pytest.raises(ValueError, match="layout|point"):
+            parse_layout(text)
+
+
 def test_overlapping_edges_at_vertex_rejected():
     # two edges leaving vertex 0 in the same direction overlap
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
