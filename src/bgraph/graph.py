@@ -117,8 +117,9 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
     First non-blank line: "n m".  Then m lines "u v".  Lines of the form
-    "# label <v> <name>" attach a label; other "#" lines are comments.
-    Duplicate edges collapse; self-loops and out-of-range ids are errors.
+    "# label <v> <name>" attach a label, at most one per vertex; other "#"
+    lines are comments.  Duplicate edges collapse; self-loops and
+    out-of-range ids are errors.
     """
     n = -1
     m = -1
@@ -139,6 +140,8 @@ def parse_graph(text: str) -> Graph:
                     raise GraphParseError(f"line {lineno}: bad label vertex") from None
                 if not seen_header or not 0 <= v < n:
                     raise GraphParseError(f"line {lineno}: label vertex out of range")
+                if v in labels:
+                    raise GraphParseError(f"line {lineno}: vertex {v} labelled twice")
                 labels[v] = parts[2]
             continue
         parts = line.split()
@@ -251,17 +254,54 @@ def _alive_mask(g: Graph, alive: int | None) -> int:
     return alive
 
 
-def _min_degree_vertex(g: Graph, alive: int) -> tuple[int, int]:
-    """A minimum-degree vertex of G[alive] (lowest id breaks ties) and its degree."""
-    adj = g.adj
-    best = -1
-    best_deg = g.n + 1
-    for v in _bits(alive):
-        deg = (adj[v] & alive).bit_count()
-        if deg < best_deg:
-            best_deg = deg
-            best = v
-    return best, best_deg
+class _DegreeQueue:
+    """Degree-bucket queue over G[alive] (Matula & Beck, JACM 1983).
+
+    buckets[d] is the bitmask of alive vertices of degree d in G[alive].
+    Removing vertices moves only their alive neighbors down one bucket per
+    removed neighbor, so emptying the queue costs O(n + m) bucket moves.
+    """
+
+    def __init__(self, g: Graph, alive: int):
+        self.adj = g.adj
+        self.alive = alive
+        self.deg = [0] * g.n
+        self.buckets = [0] * (g.n + 1)
+        self.low = 0  # no alive vertex has a degree below low
+        for v in _bits(alive):
+            d = (self.adj[v] & alive).bit_count()
+            self.deg[v] = d
+            self.buckets[d] |= 1 << v
+
+    def min(self) -> tuple[int, int]:
+        """A minimum-degree vertex of G[alive] (lowest id breaks ties) and
+        its degree; alive must not be empty."""
+        buckets = self.buckets
+        d = self.low
+        while not buckets[d]:
+            d += 1
+        self.low = d
+        bucket = buckets[d]
+        return (bucket & -bucket).bit_length() - 1, d
+
+    def remove(self, mask: int) -> None:
+        """Delete the vertices of mask from alive."""
+        mask &= self.alive
+        alive = self.alive & ~mask
+        self.alive = alive
+        adj, deg, buckets = self.adj, self.deg, self.buckets
+        low = self.low
+        for v in _bits(mask):
+            buckets[deg[v]] ^= 1 << v
+            for u in _bits(adj[v] & alive):
+                d = deg[u]
+                bit = 1 << u
+                buckets[d] ^= bit
+                buckets[d - 1] |= bit
+                deg[u] = d - 1
+                if d - 1 < low:
+                    low = d - 1
+        self.low = low
 
 
 def _max_degree_vertex(adj: Sequence[int], candidates: int, alive: int) -> int:
@@ -288,14 +328,14 @@ def degeneracy_order(g: Graph, alive: int | None = None) -> tuple[tuple[int, ...
 
     Returns (removal order, degeneracy = max degree seen at removal time).
     """
-    alive = _alive_mask(g, alive)
+    queue = _DegreeQueue(g, _alive_mask(g, alive))
     order = []
     d = 0
-    while alive:
-        v, deg = _min_degree_vertex(g, alive)
+    while queue.alive:
+        v, deg = queue.min()
         order.append(v)
         d = max(d, deg)
-        alive &= ~(1 << v)
+        queue.remove(1 << v)
     return tuple(order), d
 
 

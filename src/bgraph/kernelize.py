@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graph import Graph, _bits, _lowest, _min_degree_vertex, degeneracy_order, induced_subgraph
+from .graph import Graph, _DegreeQueue, _bits, _lowest, degeneracy_order, induced_subgraph
 
 
 class OracleIntegrityError(RuntimeError):
@@ -137,15 +137,16 @@ def _ramsey_extract(g: Graph, alive: int, r: int) -> int:
     non-neighborhood, switching into a high-degree neighborhood (which is
     K_{r-1}-free) when the minimum degree is large."""
     chosen = 0
-    while alive and r > 2:
-        v, d = _min_degree_vertex(g, alive)
-        if d > 0 and d ** (r - 1) >= alive.bit_count() ** (r - 2):
-            alive &= g.adj[v]
+    queue = _DegreeQueue(g, alive)
+    while queue.alive and r > 2:
+        v, d = queue.min()
+        if d > 0 and d ** (r - 1) >= queue.alive.bit_count() ** (r - 2):
+            queue = _DegreeQueue(g, queue.alive & g.adj[v])
             r -= 1
         else:
             chosen |= 1 << v
-            alive &= ~(g.adj[v] | (1 << v))
-    return chosen | alive  # a K_2-free graph is edgeless
+            queue.remove(g.adj[v] | (1 << v))
+    return chosen | queue.alive  # a K_2-free graph is edgeless
 
 
 def oracle_krfree(r: int) -> FriendlyOracle:

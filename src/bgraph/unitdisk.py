@@ -14,8 +14,10 @@ intersection graph is computed without epsilon ambiguity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .graph import Graph
 from .transforms import TransformCertificate
@@ -47,6 +49,29 @@ class DiskLayout:
         return len(self.points)
 
 
+def _int_field(value, what: str, error: type[ValueError] = EmbeddingError) -> int:
+    """An id or grid coordinate read from JSON, as an exact int.
+
+    int() would read True as 1, truncate 2.7 to 2 and overflow on
+    Infinity, so booleans and fractional or non-finite floats are refused.
+    """
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise error(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _rational_field(value) -> Fraction:
+    """A layout coordinate read from JSON, as an exact rational; booleans and
+    non-finite floats are refused (Fraction() reads True as 1 and overflows
+    on Infinity)."""
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"point coordinates must be finite numbers, got {value!r}")
+    return Fraction(value)
+
+
 def parse_embedding(text: str) -> OrthogonalEmbedding:
     data = json.loads(text)
     for key in ("vertices", "edges"):
@@ -57,16 +82,20 @@ def parse_embedding(text: str) -> OrthogonalEmbedding:
     polylines: dict[tuple[int, int], tuple[Point, ...]] = {}
     try:
         for row in data["vertices"]:
-            v = int(row["id"])
+            v = _int_field(row["id"], "vertex id")
             if v in coords:
                 raise EmbeddingError(f"vertex {v} listed twice")
-            coords[v] = (int(row["x"]), int(row["y"]))
+            coords[v] = (_int_field(row["x"], "coordinate"),
+                         _int_field(row["y"], "coordinate"))
         for row in data["edges"]:
-            u, v = int(row["u"]), int(row["v"])
+            u = _int_field(row["u"], "edge endpoint")
+            v = _int_field(row["v"], "edge endpoint")
             key = (min(u, v), max(u, v))
             if key in polylines:
                 raise EmbeddingError(f"edge {key} listed twice")
-            bends = tuple((int(x), int(y)) for x, y in row.get("bends", ()))
+            bends = tuple((_int_field(x, "bend coordinate"),
+                           _int_field(y, "bend coordinate"))
+                          for x, y in row.get("bends", ()))
             if u > v:
                 bends = tuple(reversed(bends))
             polylines[key] = bends
@@ -109,7 +138,11 @@ def parse_layout(text: str) -> DiskLayout:
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("the layout needs a list of points objects")
     try:
-        points = {int(row["id"]): (Fraction(row["x"]), Fraction(row["y"])) for row in rows}
+        points = {
+            _int_field(row["id"], "point id", ValueError):
+                (_rational_field(row["x"]), _rational_field(row["y"]))
+            for row in rows
+        }
     except TypeError:
         raise ValueError("point ids and coordinates must be numbers or strings") from None
     if sorted(points) != list(range(len(points))):
@@ -245,14 +278,29 @@ def to_unit_disk(
     return out, DiskLayout(points), cert
 
 
+# four of the eight adjacent cells; the pair with each of the other four is
+# tested from that cell
+_LATER_CELLS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
 def intersection_graph(layout: DiskLayout) -> Graph:
-    """Edge iff squared center distance <= 4 (radius-1 disks, tangency in)."""
-    ids = sorted(layout.points)
+    """Edge iff squared center distance <= 4 (radius-1 disks, tangency in).
+
+    Centers are bucketed into 2x2 cells keyed by the exact floors
+    (x // 2, y // 2); centers at distance <= 2 lie in the same or adjacent
+    cells, so only those pairs are tested.
+    """
+    points = layout.points
+    cells: dict[tuple[int, int], list[int]] = {}
+    for v, (x, y) in points.items():
+        cells.setdefault((x // 2, y // 2), []).append(v)
     edges = []
-    for i, u in enumerate(ids):
-        ux, uy = layout.points[u]
-        for v in ids[i + 1:]:
-            vx, vy = layout.points[v]
-            if (ux - vx) ** 2 + (uy - vy) ** 2 <= 4:
-                edges.append((u, v))
-    return Graph.from_edges(len(ids), edges)
+    for (cx, cy), here in cells.items():
+        near = [v for dx, dy in _LATER_CELLS for v in cells.get((cx + dx, cy + dy), ())]
+        for i, u in enumerate(here):
+            ux, uy = points[u]
+            for v in chain(here[i + 1:], near):
+                vx, vy = points[v]
+                if (ux - vx) ** 2 + (uy - vy) ** 2 <= 4:
+                    edges.append((u, v))
+    return Graph.from_edges(len(points), edges)

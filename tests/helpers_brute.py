@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from bgraph.graph import Graph
 
 
@@ -219,3 +221,24 @@ def brute_multicolored_is_exists(g: Graph, cliques: list[tuple[int, ...]]) -> bo
         if ok:
             return True
     return False
+
+
+def rescan_min_degree_vertex(g: Graph, alive: int) -> tuple[int, int]:
+    """A minimum-degree vertex of G[alive] (lowest id breaks ties) and its
+    degree, found by rescanning every alive vertex: the reference for the
+    degree-bucket queue."""
+    best, best_deg = -1, g.n + 1
+    for v in _bits(alive):
+        deg = (g.adj[v] & alive).bit_count()
+        if deg < best_deg:
+            best, best_deg = v, deg
+    return best, best_deg
+
+
+@st.composite
+def graph_and_mask(draw, max_n=40):
+    """A seeded G(n, p) graph and a random alive mask over it."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+    return g, draw(st.integers(0, (1 << n) - 1))

@@ -192,6 +192,14 @@ def test_unitdisk_and_verify(capsys, tmp_path):
     # a wrong graph fails verification
     code, _, _ = run(capsys, ["verify-disks", str(src), "--layout", layout_path])
     assert code == 1
+    # the drawing that test_malformed_json_exits_2 spoils is valid, integral floats too
+    src.write_text("4 2\n0 1\n2 3\n")
+    emb.write_text(_two_edges_embedding(x=4.0))
+    code, _, _ = run(capsys, [
+        "unitdisk", str(src), "--embedding", str(emb),
+        "--out", out_path, "--layout", layout_path,
+    ])
+    assert code == 0
 
 
 def test_input_errors_exit_2(capsys, tmp_path, p4_file):
@@ -217,6 +225,15 @@ _K2_EMBEDDING = {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 4, "y": 
                  "edges": [{"u": 0, "v": 1, "bends": []}]}
 
 
+def _two_edges_embedding(**vertex_3) -> str:
+    """A valid drawing of the test graph "4 2 / 0 1 / 2 3", with vertex 3's
+    fields overridden."""
+    vertices = [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 4, "y": 0},
+                {"id": 2, "x": 0, "y": 4}, {"id": 3, "x": 4, "y": 4, **vertex_3}]
+    return json.dumps({"vertices": vertices, "edges": [
+        {"u": 0, "v": 1, "bends": []}, {"u": 2, "v": 3, "bends": []}]})
+
+
 @pytest.mark.parametrize("command, text", [
     pytest.param("reduce-3sat", "[]", id="formula-list"),
     pytest.param("reduce-3sat", '{"variables": 5}', id="formula-variables-int"),
@@ -236,9 +253,20 @@ _K2_EMBEDDING = {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 4, "y": 
         {"id": 0, "x": None, "y": 0}, {"id": 1, "x": 4, "y": 0}]}), id="embedding-x-null"),
     pytest.param("unitdisk", json.dumps({**_K2_EMBEDDING, "edges": [
         {"u": 0, "v": 1, "bends": 7}]}), id="embedding-bends-int"),
+    # int() would overflow, truncate or read True as 1 on these fields
+    pytest.param("unitdisk", _two_edges_embedding(x=float("inf")), id="embedding-x-infinity"),
+    pytest.param("unitdisk", _two_edges_embedding(x=4.5), id="embedding-x-fraction"),
+    pytest.param("unitdisk", _two_edges_embedding(id=3.5), id="embedding-id-fraction"),
+    pytest.param("unitdisk", _two_edges_embedding(x=True), id="embedding-x-bool"),
     pytest.param("verify-disks", "[]", id="layout-list"),
     pytest.param("verify-disks", json.dumps({"points": [{"id": 0, "x": None, "y": 0}]}),
                  id="layout-x-null"),
+    pytest.param("verify-disks", json.dumps({"points": [{"id": 0, "x": float("inf"), "y": 0}]}),
+                 id="layout-x-infinity"),
+    pytest.param("verify-disks", json.dumps({"points": [{"id": 0, "x": 0, "y": float("nan")}]}),
+                 id="layout-y-nan"),
+    pytest.param("verify-disks", json.dumps({"points": [{"id": 0.5, "x": 0, "y": 0}]}),
+                 id="layout-id-fraction"),
     pytest.param("replace-crossings", "[3]", id="specs-int"),
     pytest.param("replace-crossings", json.dumps([{"through": 5, "crossed": []}]),
                  id="specs-through-int"),

@@ -16,7 +16,14 @@ from bgraph.graph import (
     parse_graph,
     serialize_graph,
 )
-from helpers_brute import complete_graph, cycle_graph, path_graph, random_graph
+from helpers_brute import (
+    complete_graph,
+    cycle_graph,
+    graph_and_mask,
+    path_graph,
+    random_graph,
+    rescan_min_degree_vertex,
+)
 
 
 def test_parse_p3():
@@ -55,6 +62,13 @@ def test_parse_labels():
     g = parse_graph("2 1\n0 1\n# label 0 pendant:u\n# label 1 gadget3:x'")
     assert g.label_of(0) == "pendant:u"
     assert g.vertex_by_label("gadget3:x'") == 1
+
+
+def test_parse_rejects_second_label_for_a_vertex():
+    with pytest.raises(GraphParseError, match="line 4: vertex 0 labelled twice"):
+        parse_graph("2 1\n0 1\n# label 0 a\n# label 0 b\n")
+    with pytest.raises(GraphParseError, match="line 3: vertex 1 labelled twice"):
+        parse_graph("2 0\n# label 1 a\n# label 1 a\n")
 
 
 def test_roundtrip_random():
@@ -157,6 +171,24 @@ def test_degeneracy():
     assert degeneracy_order(tree)[1] == 1
     assert degeneracy_order(cycle_graph(5))[1] == 2
     assert degeneracy_order(complete_graph(4))[1] == 3
+
+
+def rescan_degeneracy_order(g, alive):
+    order, d = [], 0
+    while alive:
+        v, deg = rescan_min_degree_vertex(g, alive)
+        order.append(v)
+        d = max(d, deg)
+        alive &= ~(1 << v)
+    return tuple(order), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_mask())
+def test_degeneracy_order_matches_rescan(case):
+    g, alive = case
+    assert degeneracy_order(g, alive) == rescan_degeneracy_order(g, alive)
+    assert degeneracy_order(g) == rescan_degeneracy_order(g, (1 << g.n) - 1)
 
 
 def test_self_loop_rejected_in_constructor():

@@ -12,6 +12,7 @@ from bgraph.kernelize import (
     CliqueFoundError,
     FriendlyOracle,
     OracleIntegrityError,
+    _ramsey_extract,
     find_clique,
     kernelize,
     marking_bound,
@@ -23,10 +24,12 @@ from helpers_brute import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph_and_mask,
     path_graph,
     petersen_graph,
     random_degenerate_graph,
     random_graph,
+    rescan_min_degree_vertex,
 )
 
 
@@ -245,6 +248,28 @@ def test_kernel_equivalence_property(case, k):
     out, trace = kernelize(g, k, oracle)
     assert brute_param_one_extendable(g, k) == brute_param_one_extendable(out, k)
     assert (out, trace.id_map) == induced_subgraph(g, trace.kept)
+
+
+def rescan_ramsey_extract(g, alive, r):
+    chosen = 0
+    while alive and r > 2:
+        v, d = rescan_min_degree_vertex(g, alive)
+        if d > 0 and d ** (r - 1) >= alive.bit_count() ** (r - 2):
+            alive &= g.adj[v]
+            r -= 1
+        else:
+            chosen |= 1 << v
+            alive &= ~(g.adj[v] | (1 << v))
+    return chosen | alive
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_mask(), st.integers(3, 5))
+def test_ramsey_extract_matches_rescan(case, r):
+    # the descent runs on any graph; K_r-freeness only backs its size bound
+    g, alive = case
+    for mask in ((1 << g.n) - 1, alive):
+        assert _ramsey_extract(g, mask, r) == rescan_ramsey_extract(g, mask, r)
 
 
 def test_oracle_integrity_error_fires_on_broken_oracle():

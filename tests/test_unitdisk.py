@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgraph.extendability import is_one_extendable
 from bgraph.graph import Graph
@@ -68,6 +70,37 @@ def test_intersection_graph_basics():
         }
     )
     assert intersection_graph(three).edges() == [(0, 1), (1, 2)]
+
+
+# exact tangency (distance 2) in several directions, and pairs just inside
+# or just outside it, including across a diagonal cell corner
+_OFFSETS = [(2, 0), (-2, 0), (0, 2), (0, -2), (Fraction(6, 5), Fraction(8, 5)),
+            (Fraction(-8, 5), Fraction(6, 5)), (Fraction(6, 5), Fraction(-8, 5)),
+            (1, 1), (Fraction(7, 6), Fraction(-3, 2)), (2, Fraction(1, 7))]
+_COORD = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 6, 7]))
+
+
+@st.composite
+def disk_layout(draw, max_n=25):
+    points: list[tuple[Fraction, Fraction]] = []
+    for _ in range(draw(st.integers(0, max_n))):
+        if points and draw(st.booleans()):
+            x, y = points[draw(st.integers(0, len(points) - 1))]
+            dx, dy = draw(st.sampled_from(_OFFSETS))
+            points.append((x + dx, y + dy))
+        else:
+            points.append((draw(_COORD), draw(_COORD)))
+    return DiskLayout(dict(enumerate(points)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk_layout())
+def test_intersection_graph_matches_all_pairs(layout):
+    p = layout.points
+    expected = [(u, v) for u in range(layout.n) for v in range(u + 1, layout.n)
+                if (p[u][0] - p[v][0]) ** 2 + (p[u][1] - p[v][1]) ** 2 <= 4]
+    realized = intersection_graph(layout)
+    assert (realized.n, realized.edges()) == (layout.n, expected)
 
 
 def _roundtrip(g, emb):
@@ -160,12 +193,32 @@ def test_embedding_validation_errors():
 def test_parsers_reject_wrong_structure():
     for text in ("[]", '{"vertices": 3, "edges": []}',
                  '{"vertices": [{"id": 0, "x": null, "y": 0}], "edges": []}',
-                 '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [5]}]}'):
+                 '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [5]}]}',
+                 # inexact numbers: int() would truncate, overflow or read True as 1
+                 '{"vertices": [{"id": 0, "x": 2.7, "y": "3"}], "edges": []}',
+                 '{"vertices": [{"id": 0, "x": Infinity, "y": 0}], "edges": []}',
+                 '{"vertices": [{"id": 0, "x": 0, "y": NaN}], "edges": []}',
+                 '{"vertices": [{"id": 1.5, "x": 0, "y": 0}], "edges": []}',
+                 '{"vertices": [{"id": true, "x": 0, "y": 0}], "edges": []}',
+                 '{"vertices": [], "edges": [{"u": 0, "v": 1.5, "bends": []}]}',
+                 '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [[0, -Infinity]]}]}'):
         with pytest.raises(EmbeddingError):
             parse_embedding(text)
-    for text in ("[]", '{"points": 3}', '{"points": [{"id": 0, "x": null, "y": 0}]}'):
+    for text in ("[]", '{"points": 3}', '{"points": [{"id": 0, "x": null, "y": 0}]}',
+                 '{"points": [{"id": 1.7, "x": 0, "y": 0}]}',
+                 '{"points": [{"id": true, "x": 0, "y": 0}]}',
+                 '{"points": [{"id": 0, "x": Infinity, "y": 0}]}',
+                 '{"points": [{"id": 0, "x": 0, "y": NaN}]}',
+                 '{"points": [{"id": 0, "x": false, "y": 0}]}'):
         with pytest.raises(ValueError, match="layout|point"):
             parse_layout(text)
+
+
+def test_parsers_accept_integral_numbers():
+    emb = parse_embedding('{"vertices": [{"id": 0.0, "x": 2.0, "y": "3"}], "edges": []}')
+    assert emb.coords == {0: (2, 3)}
+    layout = parse_layout('{"points": [{"id": 0.0, "x": "1/3", "y": 0.5}]}')
+    assert layout.points == {0: (Fraction(1, 3), Fraction(1, 2))}
 
 
 def test_overlapping_edges_at_vertex_rejected():
