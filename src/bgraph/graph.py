@@ -260,10 +260,12 @@ class _DegreeQueue:
     buckets[d] is the bitmask of alive vertices of degree d in G[alive].
     Removing vertices moves only their alive neighbors down one bucket per
     removed neighbor, so emptying the queue costs O(n + m) bucket moves.
+    Eliminating a vertex also joins its alive neighbors into a clique, so
+    after an eliminate the rows and degrees are those of the filled graph.
     """
 
     def __init__(self, g: Graph, alive: int):
-        self.adj = g.adj
+        self.adj = list(g.adj)
         self.alive = alive
         self.deg = [0] * g.n
         self.buckets = [0] * (g.n + 1)
@@ -302,6 +304,28 @@ class _DegreeQueue:
                 if d - 1 < low:
                     low = d - 1
         self.low = low
+
+    def eliminate(self, v: int) -> int:
+        """Delete v from alive after joining its alive neighbors into a
+        clique (the fill of elimination); returns that neighbor mask."""
+        alive = self.alive & ~(1 << v)
+        self.alive = alive
+        adj, deg, buckets = self.adj, self.deg, self.buckets
+        sep = adj[v] & alive
+        buckets[deg[v]] ^= 1 << v
+        low = self.low
+        for u in _bits(sep):
+            bit = 1 << u
+            row = adj[u] | sep & ~bit
+            adj[u] = row
+            d = (row & alive).bit_count()
+            buckets[deg[u]] ^= bit
+            buckets[d] |= bit
+            deg[u] = d
+            if d < low:
+                low = d
+        self.low = low
+        return sep
 
 
 def _max_degree_vertex(adj: Sequence[int], candidates: int, alive: int) -> int:

@@ -5,6 +5,9 @@ splitting, and exact degree-0/1/2 reductions (including vertex folding).
 Everything is deterministic: ties break toward the lowest vertex id, so
 witnesses are reproducible.
 
+Independence polynomials come from bucket elimination along a min-degree
+order when that order is narrow, and from a vertex-mask memo otherwise.
+
 A search-node budget makes the worst-case exponential blowup observable:
 when the cap is hit the solver raises BudgetExceededError instead of ever
 returning a wrong answer.
@@ -14,8 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from typing import Iterator, Sequence
 
-from .graph import Graph, _alive_mask, _bits, _closed_non_neighborhood, _lowest, _max_degree_vertex
+from .graph import (
+    Graph,
+    _alive_mask,
+    _bits,
+    _closed_non_neighborhood,
+    _DegreeQueue,
+    _lowest,
+    _max_degree_vertex,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -338,6 +351,145 @@ def has_k_is_containing(
     return True, _witness_tuple(found | 1 << v)
 
 
+# Widest elimination separator the engine takes; wider orders go to the
+# memo.  Calibrated on seeded G(n, p) and unit-disk graphs (ROADMAP item 2):
+# past it the memo wins on dense G(n, p), and a table holds up to
+# 2**width entries.
+_ENGINE_WIDTH = 20
+
+
+def _elimination_order(g: Graph, alive: int) -> list[tuple[int, int]] | None:
+    """Min-degree elimination order of G[alive] with fill, as (vertex,
+    separator) pairs: the separator is the vertex's later neighbors in the
+    filled graph.  None as soon as one separator is wider than
+    _ENGINE_WIDTH."""
+    queue = _DegreeQueue(g, alive)
+    order = []
+    while queue.alive:
+        v, width = queue.min()
+        if width > _ENGINE_WIDTH:
+            return None
+        order.append((v, queue.eliminate(v)))
+    return order
+
+
+def _independent_subsets(adj: Sequence[int], mask: int) -> list[int]:
+    """Every independent subset of G[mask] as a mask, the empty set first."""
+    subsets = [0]
+    for u in _bits(mask):
+        row = adj[u]
+        subsets += [s | 1 << u for s in subsets if not row & s]
+    return subsets
+
+
+def _leave_one_out(factors: list[int]) -> tuple[int, list[int]]:
+    """(product of factors, [product of all factors but factors[j]])."""
+    prefix = [1]
+    for f in factors:
+        prefix.append(prefix[-1] * f)
+    others = [0] * len(factors)
+    suffix = 1
+    for j in range(len(factors) - 1, -1, -1):
+        others[j] = prefix[j] * suffix
+        suffix *= factors[j]
+    return prefix[-1], others
+
+
+def _unpack(packed: int, shift: int) -> tuple[int, ...]:
+    """Coefficients of a polynomial packed as its value at x = 2**shift."""
+    digits = format(packed, "b")
+    return tuple(int(digits[max(end - shift, 0):end], 2)
+                 for end in range(len(digits), 0, -shift))
+
+
+class _Elimination:
+    """Bucket elimination of the independence polynomial of G[alive] along
+    an elimination order (Dechter, "Bucket elimination", 1999).
+
+    The parent of a vertex is the earliest-eliminated vertex of its
+    separator; vertices with an empty separator are the roots, one per
+    component.  The upward table of v maps each independent subset T of
+    its separator to the polynomial of the independent sets I of v's
+    subtree with I + T independent; the product of the roots' tables at
+    the empty set is I(G[alive]).  The downward table of v maps T to the
+    polynomial of the independent sets J outside v's subtree with J meeting
+    the separator in exactly T; a root's is the product of the other
+    roots' polynomials.  Summing over T the downward table times v's own
+    term with v taken gives x * I(G[alive] - N[v]) for every v in the two
+    sweeps.  One budget node is spent per table entry.
+
+    A polynomial is packed into one int as its value at x = 2**shift with
+    shift = |alive| + 1 (Kronecker substitution), so a product of
+    polynomials is one int multiply and a sum one int add.  The packing is
+    exact because nothing carries: every value the engine forms is a sum
+    of x**|S| over distinct vertex sets S of G[alive], so each coefficient
+    is at most 2**|alive|, below the base.
+    """
+
+    def __init__(self, g: Graph, alive: int, order: list[tuple[int, int]], budget: _Budget):
+        self.adj = g.adj
+        self.order = order
+        self.budget = budget
+        self.shift = alive.bit_count() + 1
+        self.sep = dict(order)
+        self.children: dict[int, list[int]] = {v: [] for v, _ in order}
+        self.roots: list[int] = []
+        pos = {v: i for i, (v, _) in enumerate(order)}
+        for v, sep in order:
+            if sep:
+                self.children[min(_bits(sep), key=pos.__getitem__)].append(v)
+            else:
+                self.roots.append(v)
+        self.up: dict[int, dict[int, int]] = {}
+
+    def upward(self, keep: bool) -> int:
+        """Fill every upward table and return I(G[alive]), packed; with
+        keep False each table is dropped once its parent has read it."""
+        adj, up, shift, spend = self.adj, self.up, self.shift, self.budget.spend
+        for v, sep in self.order:
+            vbit = 1 << v
+            kids = [(self.sep[c], up[c] if keep else up.pop(c)) for c in self.children[v]]
+            table = {}
+            for t in _independent_subsets(adj, sep):
+                spend()
+                out = prod(up_c[t & sep_c] for sep_c, up_c in kids)
+                if not adj[v] & t:
+                    taken = t | vbit
+                    out += prod(up_c[taken & sep_c] for sep_c, up_c in kids) << shift
+                table[t] = out
+            up[v] = table
+        return prod(up[r][0] for r in self.roots)
+
+    def downward(self) -> Iterator[tuple[int, int]]:
+        """Yield (v, x * I(G[alive] - N[v]) packed) for every alive v; needs
+        the upward tables kept."""
+        adj, up, shift, spend = self.adj, self.up, self.shift, self.budget.spend
+        _, rest = _leave_one_out([up[r][0] for r in self.roots])
+        down = {r: {0: part} for r, part in zip(self.roots, rest)}
+        for v, _ in reversed(self.order):
+            vbit = 1 << v
+            kids = self.children[v]
+            seps = [self.sep[c] for c in kids]
+            tables = [up.pop(c) for c in kids]
+            into: list[dict[int, int]] = [{} for _ in kids]
+            acc = 0
+            for t, base in down.pop(v).items():
+                spend()
+                cases = [(t, base)]
+                if not adj[v] & t:
+                    cases.append((t | vbit, base << shift))
+                for a, weight in cases:
+                    whole, others = _leave_one_out(
+                        [table[a & s] for table, s in zip(tables, seps)])
+                    for j, s in enumerate(seps):
+                        key = a & s
+                        into[j][key] = into[j].get(key, 0) + weight * others[j]
+                    if a & vbit:
+                        acc += weight * whole
+            down.update(zip(kids, into))
+            yield v, acc
+
+
 class _PolynomialMemo:
     """I(G[mask]) over one host graph via I(G) = I(G-v) + x*I(G-N[v]) and
     component products; all roots share one mask-keyed memo and one budget,
@@ -381,9 +533,17 @@ class _PolynomialMemo:
 def independence_polynomial(
     g: Graph, budget: int | None = None, alive: int | None = None
 ) -> IndependencePolynomial:
-    """Exact coefficients of I(G[alive]), memoized by vertex mask.  alive
-    defaults to every vertex."""
-    coeffs = _PolynomialMemo(g, budget).poly(_alive_mask(g, alive))
+    """Exact coefficients of I(G[alive]); alive defaults to every vertex.
+
+    Eliminates along a min-degree order when its width is at most
+    _ENGINE_WIDTH, and falls back to the vertex-mask memo otherwise."""
+    alive = _alive_mask(g, alive)
+    order = _elimination_order(g, alive)
+    if order is None:
+        coeffs = _PolynomialMemo(g, budget).poly(alive)
+    else:
+        engine = _Elimination(g, alive, order, _Budget(budget))
+        coeffs = _unpack(engine.upward(False), engine.shift)
     assert coeffs[0] == 1 and coeffs[-1] >= 1
     return IndependencePolynomial(coeffs)
 
@@ -391,9 +551,21 @@ def independence_polynomial(
 def neighborhood_polynomials(
     g: Graph, budget: int | None = None
 ) -> tuple[IndependencePolynomial, tuple[IndependencePolynomial, ...]]:
-    """(I(G), (I(G - N[v]) for v in V)) from one shared memo; the budget
-    bounds the search nodes of all n + 1 polynomials together."""
-    memo = _PolynomialMemo(g, budget)
-    full = IndependencePolynomial(memo.poly((1 << g.n) - 1))
-    rest = (_closed_non_neighborhood(g, v) for v in range(g.n))
-    return full, tuple(IndependencePolynomial(memo.poly(mask)) for mask in rest)
+    """(I(G), (I(G - N[v]) for v in V)) under one budget for all n + 1
+    polynomials: two sweeps of the elimination engine when the min-degree
+    order is narrow enough, one shared memo otherwise."""
+    full = (1 << g.n) - 1
+    order = _elimination_order(g, full)
+    if order is None:
+        memo = _PolynomialMemo(g, budget)
+        whole = memo.poly(full)
+        rest = (_closed_non_neighborhood(g, v) for v in range(g.n))
+        parts = [memo.poly(mask) for mask in rest]
+    else:
+        engine = _Elimination(g, full, order, _Budget(budget))
+        shift = engine.shift
+        whole = _unpack(engine.upward(True), shift)
+        parts = [()] * g.n
+        for v, taken in engine.downward():
+            parts[v] = _unpack(taken >> shift, shift)
+    return IndependencePolynomial(whole), tuple(IndependencePolynomial(p) for p in parts)

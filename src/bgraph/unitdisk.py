@@ -53,9 +53,10 @@ def _int_field(value, what: str, error: type[ValueError] = EmbeddingError) -> in
     """An id or grid coordinate read from JSON, as an exact int.
 
     int() would read True as 1, truncate 2.7 to 2 and overflow on
-    Infinity, so booleans and fractional or non-finite floats are refused.
+    Infinity, so booleans and fractional or non-finite numbers are refused.
     """
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+            or isinstance(value, Fraction) and value.denominator != 1):
         raise error(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -133,7 +134,9 @@ def serialize_layout(layout: DiskLayout) -> str:
 
 
 def parse_layout(text: str) -> DiskLayout:
-    data = json.loads(text)
+    """Read a layout document; JSON decimals are read exactly, so "x": 1.2
+    is 6/5 as the string "1.2" is, not the nearest binary float."""
+    data = json.loads(text, parse_float=Fraction)
     rows = data.get("points") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("the layout needs a list of points objects")

@@ -109,10 +109,10 @@ def test_limit_zero_iff_uncovered():
 
 
 def test_budget_bounds_the_whole_report():
-    # each of the five polynomials of P4 fits in 5 search nodes on its own;
-    # the shared pass over all of them needs 7
+    # each of the five polynomials of P4 fits in 7 nodes (table entries) on
+    # its own; the shared pass over all of them needs 14, 7 per sweep
     g = path_graph(4)
-    cap = 5
+    cap = 7
     independence_polynomial(g, budget=cap)
     for v in range(g.n):
         rest = sum(1 << u for u in range(g.n) if u != v and not g.has_edge(u, v))
@@ -123,7 +123,7 @@ def test_budget_bounds_the_whole_report():
         throughput(g, Fraction(1), budget=cap)
     with pytest.raises(BudgetExceededError):
         theta_sweep(g, [Fraction(1)], budget=cap)
-    assert throughput_limit(g, budget=7) == throughput_limit(g)
+    assert throughput_limit(g, budget=14) == throughput_limit(g)
 
 
 def test_starvation_report():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgraph import mis
 from bgraph.graph import Graph, disjoint_union, induced_subgraph, is_independent
 from bgraph.mis import (
     BudgetExceededError,
+    IndependencePolynomial,
     find_independent_set,
     has_k_is_containing,
     independence_polynomial,
@@ -23,6 +27,7 @@ from helpers_brute import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph_and_mask as seeded_graph_and_mask,
     path_graph,
     random_graph,
     random_graph_suite,
@@ -220,3 +225,109 @@ def test_budget_exceeded_is_raised_not_wrong():
 def test_budget_generous_still_exact():
     g = path_graph(9)
     assert max_independent_set(g, budget=10_000).alpha == 5
+
+
+# -- the elimination engine behind both polynomial entry points -------------
+
+WIDE = 10**6  # an _ENGINE_WIDTH that sends every graph to the engine
+
+
+def _memo_parts(g: Graph) -> list[tuple[int, ...]]:
+    memo = mis._PolynomialMemo(g, None)
+    full = (1 << g.n) - 1
+    return [memo.poly(full)] + [memo.poly(full & ~(g.adj[v] | 1 << v)) for v in range(g.n)]
+
+
+def _engine_width(g: Graph, alive: int) -> int:
+    with mock.patch.object(mis, "_ENGINE_WIDTH", WIDE):
+        order = mis._elimination_order(g, alive)
+    return max((sep.bit_count() for _, sep in order), default=0)
+
+
+@pytest.mark.parametrize("width", [-1, 0, 2, WIDE])
+@settings(max_examples=60, deadline=None)
+@given(case=seeded_graph_and_mask(max_n=12))
+def test_polynomials_match_brute_force_and_memo_on_both_sides(width, case):
+    # width -1 sends every non-empty graph to the memo, WIDE every graph
+    # to the engine; 0 and 2 split random graphs between them
+    g, alive = case
+    inside = [v for v in range(g.n) if alive >> v & 1]
+    expected = mis._PolynomialMemo(g, None).poly(alive)
+    assert list(expected) == brute_count_by_size(induced_subgraph(g, inside)[0])
+    with mock.patch.object(mis, "_ENGINE_WIDTH", width):
+        assert independence_polynomial(g, alive=alive).coefficients == expected
+        full, parts = neighborhood_polynomials(g)
+    assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
+    assert list(full.coefficients) == brute_count_by_size(g)
+
+
+def test_engine_on_components_cliques_and_isolated_vertices():
+    k3 = complete_graph(3)
+    cases = [
+        empty_graph(0),
+        empty_graph(5),
+        complete_graph(mis._ENGINE_WIDTH + 1),
+        disjoint_union(disjoint_union(path_graph(3), k3), empty_graph(2)),
+        disjoint_union(cycle_graph(5), disjoint_union(k3, k3)),
+    ]
+    for g in cases:
+        assert _engine_width(g, (1 << g.n) - 1) <= mis._ENGINE_WIDTH
+        full, parts = neighborhood_polynomials(g)
+        assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
+        assert list(full.coefficients) == brute_count_by_size(g)
+    assert neighborhood_polynomials(empty_graph(0)) == (IndependencePolynomial((1,)), ())
+    full, parts = neighborhood_polynomials(empty_graph(3))
+    assert full.coefficients == (1, 3, 3, 1)
+    assert all(p.coefficients == (1, 2, 1) for p in parts)
+
+
+def test_dispatch_follows_the_width(monkeypatch):
+    # K_(w+1) has min-degree width w and goes to the engine; K_(w+2) has
+    # width w + 1 and goes to the memo
+    calls = []
+    real = mis._PolynomialMemo.poly
+
+    def counting(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(mis._PolynomialMemo, "poly", counting)
+    w = mis._ENGINE_WIDTH
+    for n, engine_side in ((w + 1, True), (w + 2, False)):
+        g = complete_graph(n)
+        assert _engine_width(g, (1 << n) - 1) == n - 1
+        calls.clear()
+        assert independence_polynomial(g).coefficients == (1, n)
+        full, parts = neighborhood_polynomials(g)
+        assert full.coefficients == (1, n)
+        assert all(p.coefficients == (1,) for p in parts)
+        assert (not calls) == engine_side
+
+
+def test_neighborhood_polynomials_of_a_long_path_closed_form():
+    # [x^s] I(P_n) = C(n - s + 1, s); G - N[v] is P_(v-1) + P_(n-v-2)
+    def path_poly(n: int) -> tuple[int, ...]:
+        return tuple(comb(n - s + 1, s) for s in range((n + 1) // 2 + 1))
+
+    n = 300
+    full, parts = neighborhood_polynomials(path_graph(n))
+    assert full.coefficients == path_poly(n)
+    for v in range(n):
+        expected = _poly_product(path_poly(max(v - 1, 0)), path_poly(max(n - v - 2, 0)))
+        assert parts[v].coefficients == expected
+
+
+def test_engine_budget_counts_table_entries_and_never_answers_partially():
+    # P6 eliminates 0, 1, ..., 5: five separators {i + 1} with two
+    # independent subsets each and one empty one, so I(G) fills 11 table
+    # entries and the downward pass 11 more
+    g = path_graph(6)
+    exact = neighborhood_polynomials(g)
+    for cap in range(11):
+        with pytest.raises(BudgetExceededError):
+            independence_polynomial(g, budget=cap)
+    assert independence_polynomial(g, budget=11) == exact[0]
+    for cap in range(22):
+        with pytest.raises(BudgetExceededError):
+            neighborhood_polynomials(g, budget=cap)
+    assert neighborhood_polynomials(g, budget=22) == exact

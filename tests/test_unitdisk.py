@@ -221,6 +221,15 @@ def test_parsers_accept_integral_numbers():
     assert layout.points == {0: (Fraction(1, 3), Fraction(1, 2))}
 
 
+def test_layout_decimals_are_exact():
+    # as binary floats 1.2 and 1.6 lie just off distance 2 from the origin
+    for x, y in (("1.2", "1.6"), ('"1.2"', '"1.6"'), ("12e-1", "0.16E1")):
+        layout = parse_layout(
+            f'{{"points": [{{"id": 0, "x": 0, "y": 0}}, {{"id": 1, "x": {x}, "y": {y}}}]}}')
+        assert layout.points[1] == (Fraction(6, 5), Fraction(8, 5))
+        assert intersection_graph(layout).edges() == [(0, 1)]
+
+
 def test_overlapping_edges_at_vertex_rejected():
     # two edges leaving vertex 0 in the same direction overlap
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
