@@ -6,7 +6,7 @@ Everything is deterministic: ties break toward the lowest vertex id, so
 witnesses are reproducible.
 
 Independence polynomials come from bucket elimination along a min-degree
-order when that order is narrow, and from a vertex-mask memo otherwise.
+order when its tables are small, and from a vertex-mask memo otherwise.
 
 A search-node budget makes the worst-case exponential blowup observable:
 when the cap is hit the solver raises BudgetExceededError instead of ever
@@ -351,35 +351,47 @@ def has_k_is_containing(
     return True, _witness_tuple(found | 1 << v)
 
 
-# Widest elimination separator the engine takes; wider orders go to the
-# memo.  Calibrated on seeded G(n, p) and unit-disk graphs (ROADMAP item 2):
-# past it the memo wins on dense G(n, p), and a table holds up to
-# 2**width entries.
-_ENGINE_WIDTH = 20
+# Most table entries the engine fills for one request; orders that need
+# more go to the memo.  Entries, not width, are the engine's cost: a
+# separator that is independent in G costs 2**width entries, a clique
+# width + 1.  Calibrated on seeded G(n, p), unit-disk and complete
+# bipartite graphs (ROADMAP item 2): sparse and unit-disk graphs beat the
+# memo at every entry count measured, dense G(n, p) past about 10**5
+# entries and K(a, b) past about 10**4 lose to it, and an order at the cap
+# runs in about 2 s.
+_ENGINE_ENTRIES = 1 << 18
 
 
-def _elimination_order(g: Graph, alive: int) -> list[tuple[int, int]] | None:
+def _elimination_order(g: Graph, alive: int) -> list[tuple[int, int, list[int]]] | None:
     """Min-degree elimination order of G[alive] with fill, as (vertex,
-    separator) pairs: the separator is the vertex's later neighbors in the
-    filled graph.  None as soon as one separator is wider than
-    _ENGINE_WIDTH."""
+    separator, keys) triples: the separator is the vertex's later neighbors
+    in the filled graph, the keys its independent subsets in G, one table
+    entry each.  None as soon as the tables would hold more than
+    _ENGINE_ENTRIES entries in all."""
     queue = _DegreeQueue(g, alive)
     order = []
+    room = _ENGINE_ENTRIES
     while queue.alive:
-        v, width = queue.min()
-        if width > _ENGINE_WIDTH:
+        v, _ = queue.min()
+        sep = queue.eliminate(v)
+        keys = _independent_subsets(g.adj, sep, room)
+        if keys is None:
             return None
-        order.append((v, queue.eliminate(v)))
+        room -= len(keys)
+        order.append((v, sep, keys))
     return order
 
 
-def _independent_subsets(adj: Sequence[int], mask: int) -> list[int]:
-    """Every independent subset of G[mask] as a mask, the empty set first."""
+def _independent_subsets(adj: Sequence[int], mask: int, cap: int) -> list[int] | None:
+    """Every independent subset of G[mask] as a mask, the empty set first;
+    None when there are more than cap."""
     subsets = [0]
     for u in _bits(mask):
+        if len(subsets) > cap:
+            return None
         row = adj[u]
         subsets += [s | 1 << u for s in subsets if not row & s]
-    return subsets
+    return subsets if len(subsets) <= cap else None
 
 
 def _leave_one_out(factors: list[int]) -> tuple[int, list[int]]:
@@ -426,16 +438,17 @@ class _Elimination:
     is at most 2**|alive|, below the base.
     """
 
-    def __init__(self, g: Graph, alive: int, order: list[tuple[int, int]], budget: _Budget):
+    def __init__(self, g: Graph, alive: int, order: list[tuple[int, int, list[int]]],
+                 budget: _Budget):
         self.adj = g.adj
         self.order = order
         self.budget = budget
         self.shift = alive.bit_count() + 1
-        self.sep = dict(order)
-        self.children: dict[int, list[int]] = {v: [] for v, _ in order}
+        self.sep = {v: sep for v, sep, _ in order}
+        self.children: dict[int, list[int]] = {v: [] for v, _, _ in order}
         self.roots: list[int] = []
-        pos = {v: i for i, (v, _) in enumerate(order)}
-        for v, sep in order:
+        pos = {v: i for i, (v, _, _) in enumerate(order)}
+        for v, sep, _ in order:
             if sep:
                 self.children[min(_bits(sep), key=pos.__getitem__)].append(v)
             else:
@@ -446,11 +459,11 @@ class _Elimination:
         """Fill every upward table and return I(G[alive]), packed; with
         keep False each table is dropped once its parent has read it."""
         adj, up, shift, spend = self.adj, self.up, self.shift, self.budget.spend
-        for v, sep in self.order:
+        for v, _, keys in self.order:
             vbit = 1 << v
             kids = [(self.sep[c], up[c] if keep else up.pop(c)) for c in self.children[v]]
             table = {}
-            for t in _independent_subsets(adj, sep):
+            for t in keys:
                 spend()
                 out = prod(up_c[t & sep_c] for sep_c, up_c in kids)
                 if not adj[v] & t:
@@ -466,7 +479,7 @@ class _Elimination:
         adj, up, shift, spend = self.adj, self.up, self.shift, self.budget.spend
         _, rest = _leave_one_out([up[r][0] for r in self.roots])
         down = {r: {0: part} for r, part in zip(self.roots, rest)}
-        for v, _ in reversed(self.order):
+        for v, _, _ in reversed(self.order):
             vbit = 1 << v
             kids = self.children[v]
             seps = [self.sep[c] for c in kids]
@@ -535,8 +548,9 @@ def independence_polynomial(
 ) -> IndependencePolynomial:
     """Exact coefficients of I(G[alive]); alive defaults to every vertex.
 
-    Eliminates along a min-degree order when its width is at most
-    _ENGINE_WIDTH, and falls back to the vertex-mask memo otherwise."""
+    Eliminates along a min-degree order when its tables hold at most
+    _ENGINE_ENTRIES entries, and falls back to the vertex-mask memo
+    otherwise."""
     alive = _alive_mask(g, alive)
     order = _elimination_order(g, alive)
     if order is None:
@@ -553,7 +567,7 @@ def neighborhood_polynomials(
 ) -> tuple[IndependencePolynomial, tuple[IndependencePolynomial, ...]]:
     """(I(G), (I(G - N[v]) for v in V)) under one budget for all n + 1
     polynomials: two sweeps of the elimination engine when the min-degree
-    order is narrow enough, one shared memo otherwise."""
+    order's tables are small enough, one shared memo otherwise."""
     full = (1 << g.n) - 1
     order = _elimination_order(g, full)
     if order is None:

@@ -64,12 +64,28 @@ def _int_field(value, what: str, error: type[ValueError] = EmbeddingError) -> in
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+# Widest decimal exponent a layout coordinate may carry: Fraction("1e999999999")
+# builds 10**999999999 before anything could look at the value.
+_MAX_EXPONENT = 1000
+
+
+def _exact_decimal(text: str) -> Fraction:
+    """A decimal or "p/q" string, as an exact rational; exponents beyond
+    _MAX_EXPONENT are refused."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"point coordinates need exponents within {_MAX_EXPONENT}, got {text!r}")
+    return Fraction(text)
+
+
 def _rational_field(value) -> Fraction:
     """A layout coordinate read from JSON, as an exact rational; booleans and
     non-finite floats are refused (Fraction() reads True as 1 and overflows
     on Infinity)."""
     if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"point coordinates must be finite numbers, got {value!r}")
+    if isinstance(value, str):
+        return _exact_decimal(value)
     return Fraction(value)
 
 
@@ -136,7 +152,7 @@ def serialize_layout(layout: DiskLayout) -> str:
 def parse_layout(text: str) -> DiskLayout:
     """Read a layout document; JSON decimals are read exactly, so "x": 1.2
     is 6/5 as the string "1.2" is, not the nearest binary float."""
-    data = json.loads(text, parse_float=Fraction)
+    data = json.loads(text, parse_float=_exact_decimal)
     rows = data.get("points") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("the layout needs a list of points objects")

@@ -267,6 +267,8 @@ def _two_edges_embedding(**vertex_3) -> str:
                  id="layout-y-nan"),
     pytest.param("verify-disks", json.dumps({"points": [{"id": 0.5, "x": 0, "y": 0}]}),
                  id="layout-id-fraction"),
+    pytest.param("verify-disks", '{"points": [{"id": 0, "x": 1e999999999, "y": 0}]}',
+                 id="layout-x-huge-exponent"),
     pytest.param("replace-crossings", "[3]", id="specs-int"),
     pytest.param("replace-crossings", json.dumps([{"through": 5, "crossed": []}]),
                  id="specs-through-int"),

@@ -108,11 +108,18 @@ def test_limit_zero_iff_uncovered():
         assert starvation_report(g) == tuple(v for v in range(g.n) if limit[v] == 0)
 
 
-def test_budget_bounds_the_whole_report():
-    # each of the five polynomials of P4 fits in 7 nodes (table entries) on
-    # its own; the shared pass over all of them needs 14, 7 per sweep
+@pytest.mark.parametrize("entries, cap, shared", [
+    # memo: each of the five polynomials of P4 fits in 5 memo misses on
+    # its own; the shared pass over all of them needs 7
+    (0, 5, 7),
+    # engine: each fits in 7 table entries; the shared pass needs 14, 7
+    # per sweep
+    (None, 7, 14),
+])
+def test_budget_bounds_the_whole_report(monkeypatch, entries, cap, shared):
+    if entries is not None:
+        monkeypatch.setattr(mis, "_ENGINE_ENTRIES", entries)
     g = path_graph(4)
-    cap = 7
     independence_polynomial(g, budget=cap)
     for v in range(g.n):
         rest = sum(1 << u for u in range(g.n) if u != v and not g.has_edge(u, v))
@@ -123,7 +130,9 @@ def test_budget_bounds_the_whole_report():
         throughput(g, Fraction(1), budget=cap)
     with pytest.raises(BudgetExceededError):
         theta_sweep(g, [Fraction(1)], budget=cap)
-    assert throughput_limit(g, budget=14) == throughput_limit(g)
+    with pytest.raises(BudgetExceededError):
+        throughput_limit(g, budget=shared - 1)
+    assert throughput_limit(g, budget=shared) == throughput_limit(g)
 
 
 def test_starvation_report():

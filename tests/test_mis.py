@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 from math import comb
 from unittest import mock
 
@@ -229,7 +230,7 @@ def test_budget_generous_still_exact():
 
 # -- the elimination engine behind both polynomial entry points -------------
 
-WIDE = 10**6  # an _ENGINE_WIDTH that sends every graph to the engine
+ALL = 1 << 40  # an _ENGINE_ENTRIES that sends every graph to the engine
 
 
 def _memo_parts(g: Graph) -> list[tuple[int, ...]]:
@@ -238,52 +239,13 @@ def _memo_parts(g: Graph) -> list[tuple[int, ...]]:
     return [memo.poly(full)] + [memo.poly(full & ~(g.adj[v] | 1 << v)) for v in range(g.n)]
 
 
-def _engine_width(g: Graph, alive: int) -> int:
-    with mock.patch.object(mis, "_ENGINE_WIDTH", WIDE):
+def _engine_entries(g: Graph, alive: int) -> int:
+    with mock.patch.object(mis, "_ENGINE_ENTRIES", ALL):
         order = mis._elimination_order(g, alive)
-    return max((sep.bit_count() for _, sep in order), default=0)
+    return sum(len(keys) for _, _, keys in order)
 
 
-@pytest.mark.parametrize("width", [-1, 0, 2, WIDE])
-@settings(max_examples=60, deadline=None)
-@given(case=seeded_graph_and_mask(max_n=12))
-def test_polynomials_match_brute_force_and_memo_on_both_sides(width, case):
-    # width -1 sends every non-empty graph to the memo, WIDE every graph
-    # to the engine; 0 and 2 split random graphs between them
-    g, alive = case
-    inside = [v for v in range(g.n) if alive >> v & 1]
-    expected = mis._PolynomialMemo(g, None).poly(alive)
-    assert list(expected) == brute_count_by_size(induced_subgraph(g, inside)[0])
-    with mock.patch.object(mis, "_ENGINE_WIDTH", width):
-        assert independence_polynomial(g, alive=alive).coefficients == expected
-        full, parts = neighborhood_polynomials(g)
-    assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
-    assert list(full.coefficients) == brute_count_by_size(g)
-
-
-def test_engine_on_components_cliques_and_isolated_vertices():
-    k3 = complete_graph(3)
-    cases = [
-        empty_graph(0),
-        empty_graph(5),
-        complete_graph(mis._ENGINE_WIDTH + 1),
-        disjoint_union(disjoint_union(path_graph(3), k3), empty_graph(2)),
-        disjoint_union(cycle_graph(5), disjoint_union(k3, k3)),
-    ]
-    for g in cases:
-        assert _engine_width(g, (1 << g.n) - 1) <= mis._ENGINE_WIDTH
-        full, parts = neighborhood_polynomials(g)
-        assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
-        assert list(full.coefficients) == brute_count_by_size(g)
-    assert neighborhood_polynomials(empty_graph(0)) == (IndependencePolynomial((1,)), ())
-    full, parts = neighborhood_polynomials(empty_graph(3))
-    assert full.coefficients == (1, 3, 3, 1)
-    assert all(p.coefficients == (1, 2, 1) for p in parts)
-
-
-def test_dispatch_follows_the_width(monkeypatch):
-    # K_(w+1) has min-degree width w and goes to the engine; K_(w+2) has
-    # width w + 1 and goes to the memo
+def _memo_calls(monkeypatch) -> list[int]:
     calls = []
     real = mis._PolynomialMemo.poly
 
@@ -292,16 +254,87 @@ def test_dispatch_follows_the_width(monkeypatch):
         return real(self, mask)
 
     monkeypatch.setattr(mis._PolynomialMemo, "poly", counting)
-    w = mis._ENGINE_WIDTH
-    for n, engine_side in ((w + 1, True), (w + 2, False)):
-        g = complete_graph(n)
-        assert _engine_width(g, (1 << n) - 1) == n - 1
-        calls.clear()
-        assert independence_polynomial(g).coefficients == (1, n)
+    return calls
+
+
+@pytest.mark.parametrize("entries", [0, 12, 40, ALL])
+@settings(max_examples=60, deadline=None)
+@given(case=seeded_graph_and_mask(max_n=12))
+def test_polynomials_match_brute_force_and_memo_on_both_sides(entries, case):
+    # 0 sends every non-empty graph to the memo, ALL every graph to the
+    # engine; 12 and 40 split random graphs between them
+    g, alive = case
+    inside = [v for v in range(g.n) if alive >> v & 1]
+    expected = mis._PolynomialMemo(g, None).poly(alive)
+    assert list(expected) == brute_count_by_size(induced_subgraph(g, inside)[0])
+    with mock.patch.object(mis, "_ENGINE_ENTRIES", entries):
+        assert independence_polynomial(g, alive=alive).coefficients == expected
         full, parts = neighborhood_polynomials(g)
-        assert full.coefficients == (1, n)
-        assert all(p.coefficients == (1,) for p in parts)
+    assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
+    assert list(full.coefficients) == brute_count_by_size(g)
+
+
+def test_engine_on_components_cliques_and_isolated_vertices(monkeypatch):
+    k3 = complete_graph(3)
+    cases = [
+        empty_graph(0),
+        empty_graph(5),
+        complete_graph(40),
+        disjoint_union(disjoint_union(path_graph(3), k3), empty_graph(2)),
+        disjoint_union(cycle_graph(5), disjoint_union(k3, k3)),
+    ]
+    calls = _memo_calls(monkeypatch)
+    for g in cases:
+        assert _engine_entries(g, (1 << g.n) - 1) <= mis._ENGINE_ENTRIES
+        full, parts = neighborhood_polynomials(g)
+        assert not calls
+        assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
+        calls.clear()
+        assert list(full.coefficients) == brute_count_by_size(g)
+    assert neighborhood_polynomials(empty_graph(0)) == (IndependencePolynomial((1,)), ())
+    full, parts = neighborhood_polynomials(empty_graph(3))
+    assert full.coefficients == (1, 3, 3, 1)
+    assert all(p.coefficients == (1, 2, 1) for p in parts)
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def test_dispatch_follows_the_table_entries(monkeypatch):
+    # a graph whose tables hold exactly _ENGINE_ENTRIES entries goes to the
+    # engine, one with one entry more to the memo
+    calls = _memo_calls(monkeypatch)
+    g = _complete_bipartite(3, 5)
+    exact = _memo_parts(g)
+    entries = _engine_entries(g, (1 << g.n) - 1)
+    for cap, engine_side in ((entries, True), (entries - 1, False)):
+        monkeypatch.setattr(mis, "_ENGINE_ENTRIES", cap)
+        calls.clear()
+        assert list(independence_polynomial(g).coefficients) == brute_count_by_size(g)
+        full, parts = neighborhood_polynomials(g)
+        assert [full.coefficients] + [p.coefficients for p in parts] == exact
         assert (not calls) == engine_side
+
+
+def test_complete_bipartite_graphs_go_to_the_memo(monkeypatch):
+    # min-degree eliminates the 30 side first, each vertex with the whole
+    # 14 side as separator, which is independent in G: 30 * 2**14 table
+    # entries; the memo splits the graph into isolated vertices after one
+    # branch
+    g = _complete_bipartite(14, 30)
+    assert mis._elimination_order(g, (1 << g.n) - 1) is None
+    calls = _memo_calls(monkeypatch)
+    full, parts = neighborhood_polynomials(g)
+    assert calls
+
+    def binomials(n: int) -> tuple[int, ...]:
+        return tuple(comb(n, s) for s in range(n + 1))
+
+    expected = [a + b for a, b in zip_longest(binomials(14), binomials(30), fillvalue=0)]
+    expected[0] = 1
+    assert full.coefficients == tuple(expected)
+    assert [p.coefficients for p in parts] == [binomials(13)] * 14 + [binomials(29)] * 30
 
 
 def test_neighborhood_polynomials_of_a_long_path_closed_form():

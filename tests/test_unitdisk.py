@@ -209,7 +209,10 @@ def test_parsers_reject_wrong_structure():
                  '{"points": [{"id": true, "x": 0, "y": 0}]}',
                  '{"points": [{"id": 0, "x": Infinity, "y": 0}]}',
                  '{"points": [{"id": 0, "x": 0, "y": NaN}]}',
-                 '{"points": [{"id": 0, "x": false, "y": 0}]}'):
+                 '{"points": [{"id": 0, "x": false, "y": 0}]}',
+                 # exponents whose power of ten would not fit in memory
+                 '{"points": [{"id": 0, "x": 1e999999999, "y": 0}]}',
+                 '{"points": [{"id": 0, "x": 0, "y": "-2.5E-999999999"}]}'):
         with pytest.raises(ValueError, match="layout|point"):
             parse_layout(text)
 
@@ -223,7 +226,8 @@ def test_parsers_accept_integral_numbers():
 
 def test_layout_decimals_are_exact():
     # as binary floats 1.2 and 1.6 lie just off distance 2 from the origin
-    for x, y in (("1.2", "1.6"), ('"1.2"', '"1.6"'), ("12e-1", "0.16E1")):
+    for x, y in (("1.2", "1.6"), ('"1.2"', '"1.6"'), ("12e-1", "0.16E1"),
+                 ('"0.0012e+3"', "1600e-3")):
         layout = parse_layout(
             f'{{"points": [{{"id": 0, "x": 0, "y": 0}}, {{"id": 1, "x": {x}, "y": {y}}}]}}')
         assert layout.points[1] == (Fraction(6, 5), Fraction(8, 5))
