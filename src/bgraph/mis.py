@@ -354,11 +354,10 @@ def has_k_is_containing(
 # Most table entries the engine fills for one request; orders that need
 # more go to the memo.  Entries, not width, are the engine's cost: a
 # separator that is independent in G costs 2**width entries, a clique
-# width + 1.  Calibrated on seeded G(n, p), unit-disk and complete
-# bipartite graphs (ROADMAP item 2): sparse and unit-disk graphs beat the
-# memo at every entry count measured, dense G(n, p) past about 10**5
-# entries and K(a, b) past about 10**4 lose to it, and an order at the cap
-# runs in about 2 s.
+# width + 1.  Calibrated on seeded G(n, p), unit-disk, complete and
+# complete bipartite graphs (ROADMAP item 2): sparse and unit-disk graphs
+# beat the memo at every entry count measured, dense ones lose to it by
+# at most the engine's time at the cap, about 2-3 s.
 _ENGINE_ENTRIES = 1 << 18
 
 
@@ -384,14 +383,26 @@ def _elimination_order(g: Graph, alive: int) -> list[tuple[int, int, list[int]]]
 
 def _independent_subsets(adj: Sequence[int], mask: int, cap: int) -> list[int] | None:
     """Every independent subset of G[mask] as a mask, the empty set first;
-    None when there are more than cap."""
+    None when there are more than cap.
+
+    Depth first, each set extended only by higher vertices it is not
+    adjacent to, so every set costs O(1) steps and a clique separator of
+    width w costs w + 1."""
     subsets = [0]
-    for u in _bits(mask):
+    stack = [(0, mask)]
+    while stack:
+        chosen, rest = stack.pop()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grown = chosen | low
+            subsets.append(grown)
+            later = rest & ~adj[low.bit_length() - 1]
+            if later:
+                stack.append((grown, later))
         if len(subsets) > cap:
             return None
-        row = adj[u]
-        subsets += [s | 1 << u for s in subsets if not row & s]
-    return subsets if len(subsets) <= cap else None
+    return subsets
 
 
 def _leave_one_out(factors: list[int]) -> tuple[int, list[int]]:

@@ -297,6 +297,19 @@ def test_engine_on_components_cliques_and_isolated_vertices(monkeypatch):
     assert all(p.coefficients == (1, 2, 1) for p in parts)
 
 
+def test_independent_subsets_and_their_cap():
+    rng = random.Random(5)
+    for _ in range(60):
+        g = random_graph(rng, 9, rng.choice((0.0, 0.3, 1.0)))
+        mask = rng.getrandbits(9)
+        want = [s for s in range(1 << 9) if not s & ~mask
+                and is_independent(g, [v for v in range(9) if s >> v & 1])]
+        got = mis._independent_subsets(g.adj, mask, 1 << 9)
+        assert got[0] == 0 and sorted(got) == want
+        assert mis._independent_subsets(g.adj, mask, len(want)) == got
+        assert mis._independent_subsets(g.adj, mask, len(want) - 1) is None
+
+
 def _complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
