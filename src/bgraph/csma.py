@@ -24,11 +24,13 @@ from fractions import Fraction
 from .extendability import _report
 from .graph import Graph
 from .mis import IndependencePolynomial, neighborhood_polynomials
+from .unitdisk import _exact_decimal
 
 
 def parse_theta(text: str) -> Fraction:
-    """Accept "20", "5/2", "2.5"; must be positive."""
-    theta = Fraction(text)
+    """Accept "20", "5/2", "2.5"; must be positive, with a decimal exponent
+    of at most unitdisk._MAX_EXPONENT in size."""
+    theta = _exact_decimal(text)
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {text}")
     return theta

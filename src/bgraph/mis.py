@@ -7,6 +7,8 @@ witnesses are reproducible.
 
 Independence polynomials come from bucket elimination along a min-degree
 order when its tables are small, and from a vertex-mask memo otherwise.
+Both backends share one packed format: a polynomial over G[alive] is the
+int it takes at x = 2**(|alive| + 1), unpacked only at the public API.
 
 A search-node budget makes the worst-case exponential blowup observable:
 when the cap is hit the solver raises BudgetExceededError instead of ever
@@ -330,6 +332,8 @@ def find_independent_set(
 ) -> tuple[int, ...] | None:
     """Some independent set of size exactly k inside G[alive], or None if
     alpha(G[alive]) < k.  alive defaults to every vertex."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     found = _Solver(g, budget).find(_alive_mask(g, alive), k)
     return None if found is None else _witness_tuple(found)
 
@@ -342,6 +346,8 @@ def has_k_is_containing(
     Adds v to an independent set of size k - 1 in G - N[v].  k = 0 answers
     True with an empty witness.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     alive = _closed_non_neighborhood(g, v)
     if k == 0:
         return True, ()
@@ -373,12 +379,27 @@ def _elimination_order(g: Graph, alive: int) -> list[tuple[int, int, list[int]]]
     while queue.alive:
         v, _ = queue.min()
         sep = queue.eliminate(v)
+        # a separator with s independent vertices has at least 2**s keys,
+        # so give up before enumerating them
+        if 1 << _greedy_independent_size(g.adj, sep) > room:
+            return None
         keys = _independent_subsets(g.adj, sep, room)
         if keys is None:
             return None
         room -= len(keys)
         order.append((v, sep, keys))
     return order
+
+
+def _greedy_independent_size(adj: Sequence[int], mask: int) -> int:
+    """Size of the greedy independent set of G[mask] that takes the lowest
+    vertex left each time: a lower bound on alpha(G[mask])."""
+    size = 0
+    while mask:
+        low = mask & -mask
+        mask &= ~(low | adj[low.bit_length() - 1])
+        size += 1
+    return size
 
 
 def _independent_subsets(adj: Sequence[int], mask: int, cap: int) -> list[int] | None:
@@ -449,12 +470,12 @@ class _Elimination:
     is at most 2**|alive|, below the base.
     """
 
-    def __init__(self, g: Graph, alive: int, order: list[tuple[int, int, list[int]]],
+    def __init__(self, g: Graph, shift: int, order: list[tuple[int, int, list[int]]],
                  budget: _Budget):
         self.adj = g.adj
         self.order = order
         self.budget = budget
-        self.shift = alive.bit_count() + 1
+        self.shift = shift
         self.sep = {v: sep for v, sep, _ in order}
         self.children: dict[int, list[int]] = {v: [] for v, _, _ in order}
         self.roots: list[int] = []
@@ -516,15 +537,18 @@ class _Elimination:
 
 class _PolynomialMemo:
     """I(G[mask]) over one host graph via I(G) = I(G-v) + x*I(G-N[v]) and
-    component products; all roots share one mask-keyed memo and one budget,
-    spent once per memo miss."""
+    component products, in _Elimination's packed format: each polynomial is
+    its value at x = 2**shift, so a product is one int multiply and the
+    recurrence one shift and add.  All roots share one mask-keyed memo and
+    one budget, spent once per memo miss."""
 
-    def __init__(self, g: Graph, budget: int | None):
+    def __init__(self, g: Graph, shift: int, budget: _Budget):
         self.adj = g.adj
-        self.budget = _Budget(budget)
-        self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
+        self.shift = shift
+        self.budget = budget
+        self.memo: dict[int, int] = {0: 1}
 
-    def poly(self, mask: int) -> tuple[int, ...]:
+    def poly(self, mask: int) -> int:
         hit = self.memo.get(mask)
         if hit is not None:
             return hit
@@ -532,43 +556,47 @@ class _PolynomialMemo:
         adj = self.adj
         comps = _components(adj, mask)
         if len(comps) > 1:
-            acc = (1,)
+            acc = 1
             for comp in comps:
-                part = self.poly(comp)
-                out = [0] * (len(acc) + len(part) - 1)
-                for i, x in enumerate(acc):
-                    for j, y in enumerate(part):
-                        out[i + j] += x * y
-                acc = tuple(out)
+                acc *= self.poly(comp)
         else:
             best_v = _max_degree_vertex(adj, mask, mask)
             without = self.poly(mask & ~(1 << best_v))
             closed = self.poly(mask & ~(adj[best_v] | (1 << best_v)))
-            out = [0] * max(len(without), len(closed) + 1)
-            for i, c in enumerate(without):
-                out[i] += c
-            for i, c in enumerate(closed):
-                out[i + 1] += c
-            acc = tuple(out)
+            acc = without + (closed << self.shift)
         self.memo[mask] = acc
         return acc
+
+
+def _packed_polynomials(
+    g: Graph, alive: int, budget: int | None, neighborhoods: bool
+) -> tuple[int, int, dict[int, int]]:
+    """(shift, I(G[alive]), {v: I(G[alive] - N[v]) for alive v}) under one
+    budget, each polynomial packed as its value at x = 2**shift; the dict
+    stays empty unless neighborhoods is set.
+
+    Eliminates along a min-degree order when its tables hold at most
+    _ENGINE_ENTRIES entries, and recurses on one vertex-mask memo
+    otherwise."""
+    shift = alive.bit_count() + 1
+    order = _elimination_order(g, alive)
+    if order is None:
+        memo = _PolynomialMemo(g, shift, _Budget(budget))
+        whole = memo.poly(alive)
+        rest = _bits(alive) if neighborhoods else ()
+        return shift, whole, {v: memo.poly(alive & ~(g.adj[v] | 1 << v)) for v in rest}
+    engine = _Elimination(g, shift, order, _Budget(budget))
+    whole = engine.upward(neighborhoods)
+    taken = engine.downward() if neighborhoods else ()
+    return shift, whole, {v: part >> shift for v, part in taken}
 
 
 def independence_polynomial(
     g: Graph, budget: int | None = None, alive: int | None = None
 ) -> IndependencePolynomial:
-    """Exact coefficients of I(G[alive]); alive defaults to every vertex.
-
-    Eliminates along a min-degree order when its tables hold at most
-    _ENGINE_ENTRIES entries, and falls back to the vertex-mask memo
-    otherwise."""
-    alive = _alive_mask(g, alive)
-    order = _elimination_order(g, alive)
-    if order is None:
-        coeffs = _PolynomialMemo(g, budget).poly(alive)
-    else:
-        engine = _Elimination(g, alive, order, _Budget(budget))
-        coeffs = _unpack(engine.upward(False), engine.shift)
+    """Exact coefficients of I(G[alive]); alive defaults to every vertex."""
+    shift, whole, _ = _packed_polynomials(g, _alive_mask(g, alive), budget, False)
+    coeffs = _unpack(whole, shift)
     assert coeffs[0] == 1 and coeffs[-1] >= 1
     return IndependencePolynomial(coeffs)
 
@@ -579,18 +607,6 @@ def neighborhood_polynomials(
     """(I(G), (I(G - N[v]) for v in V)) under one budget for all n + 1
     polynomials: two sweeps of the elimination engine when the min-degree
     order's tables are small enough, one shared memo otherwise."""
-    full = (1 << g.n) - 1
-    order = _elimination_order(g, full)
-    if order is None:
-        memo = _PolynomialMemo(g, budget)
-        whole = memo.poly(full)
-        rest = (_closed_non_neighborhood(g, v) for v in range(g.n))
-        parts = [memo.poly(mask) for mask in rest]
-    else:
-        engine = _Elimination(g, full, order, _Budget(budget))
-        shift = engine.shift
-        whole = _unpack(engine.upward(True), shift)
-        parts = [()] * g.n
-        for v, taken in engine.downward():
-            parts[v] = _unpack(taken >> shift, shift)
-    return IndependencePolynomial(whole), tuple(IndependencePolynomial(p) for p in parts)
+    shift, whole, parts = _packed_polynomials(g, (1 << g.n) - 1, budget, True)
+    return (IndependencePolynomial(_unpack(whole, shift)),
+            tuple(IndependencePolynomial(_unpack(parts[v], shift)) for v in range(g.n)))

@@ -64,8 +64,9 @@ def _int_field(value, what: str, error: type[ValueError] = EmbeddingError) -> in
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-# Widest decimal exponent a layout coordinate may carry: Fraction("1e999999999")
-# builds 10**999999999 before anything could look at the value.
+# Widest decimal exponent a layout coordinate or a theta may carry:
+# Fraction("1e999999999") builds 10**999999999 before anything could look at
+# the value.
 _MAX_EXPONENT = 1000
 
 
@@ -74,7 +75,8 @@ def _exact_decimal(text: str) -> Fraction:
     _MAX_EXPONENT are refused."""
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > _MAX_EXPONENT:
-        raise ValueError(f"point coordinates need exponents within {_MAX_EXPONENT}, got {text!r}")
+        raise ValueError("point coordinates and theta values need exponents within "
+                         f"{_MAX_EXPONENT}, got {text!r}")
     return Fraction(text)
 
 

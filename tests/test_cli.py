@@ -211,6 +211,10 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     assert code == 2
     code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1", "--precision", "-1"])
     assert code == 2 and out == "" and "precision" in err
+    code, out, err = run(capsys, ["throughput", p4_file, "--theta", "1e999999999"])
+    assert code == 2 and out == "" and "theta" in err
+    code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1,1e-999999999"])
+    assert code == 2 and out == "" and "theta" in err
 
 
 def _formula(names, legs) -> str:

@@ -44,6 +44,11 @@ def test_parse_theta():
         parse_theta("0")
     with pytest.raises(ValueError):
         parse_theta("-3")
+    # exponents whose power of ten would not fit in memory
+    assert parse_theta("1e1000") == 10 ** 1000
+    for text in ("1e1001", "1e999999999", "2.5E-999999999"):
+        with pytest.raises(ValueError, match="exponents within 1000"):
+            parse_theta(text)
 
 
 def test_throughput_k2_at_one():

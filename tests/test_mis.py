@@ -76,6 +76,8 @@ def test_find_independent_set():
     assert w is not None and len(w) == 3 and is_independent(g, w)
     assert find_independent_set(g, 4) is None
     assert find_independent_set(g, 99) is None
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        find_independent_set(path_graph(3), -1)
 
 
 @st.composite
@@ -128,6 +130,8 @@ def test_has_k_is_containing_p5_center_examples():
     assert ok and wit == (1, 3)
     ok, wit = has_k_is_containing(empty_graph(1), 0, 1)
     assert ok and wit == (0,)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        has_k_is_containing(path_graph(3), 1, -1)
 
 
 def test_has_k_is_containing_matches_brute_force():
@@ -164,7 +168,11 @@ def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def test_polynomial_of_disjoint_union_is_product():
+@pytest.mark.parametrize("entries", [0, mis._ENGINE_ENTRIES])
+def test_polynomial_of_disjoint_union_is_product(monkeypatch, entries):
+    # 0 sends every non-empty graph to the memo, whose component product
+    # is one multiply of packed polynomials
+    monkeypatch.setattr(mis, "_ENGINE_ENTRIES", entries)
     rng = random.Random(42)
     for _ in range(20):
         a = random_graph(rng, rng.randint(1, 7), 0.4)
@@ -233,10 +241,16 @@ def test_budget_generous_still_exact():
 ALL = 1 << 40  # an _ENGINE_ENTRIES that sends every graph to the engine
 
 
+def _memo_polys(g: Graph, alive: int, masks: list[int]) -> list[tuple[int, ...]]:
+    """Coefficients of I(G[mask]) for masks inside alive, from one memo."""
+    shift = alive.bit_count() + 1
+    memo = mis._PolynomialMemo(g, shift, mis._Budget(None))
+    return [mis._unpack(memo.poly(mask), shift) for mask in masks]
+
+
 def _memo_parts(g: Graph) -> list[tuple[int, ...]]:
-    memo = mis._PolynomialMemo(g, None)
     full = (1 << g.n) - 1
-    return [memo.poly(full)] + [memo.poly(full & ~(g.adj[v] | 1 << v)) for v in range(g.n)]
+    return _memo_polys(g, full, [full] + [full & ~(g.adj[v] | 1 << v) for v in range(g.n)])
 
 
 def _engine_entries(g: Graph, alive: int) -> int:
@@ -245,15 +259,16 @@ def _engine_entries(g: Graph, alive: int) -> int:
     return sum(len(keys) for _, _, keys in order)
 
 
-def _memo_calls(monkeypatch) -> list[int]:
+def _calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Record the arguments of every call of owner.name from now on."""
     calls = []
-    real = mis._PolynomialMemo.poly
+    real = getattr(owner, name)
 
-    def counting(self, mask):
-        calls.append(mask)
-        return real(self, mask)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(mis._PolynomialMemo, "poly", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -265,7 +280,7 @@ def test_polynomials_match_brute_force_and_memo_on_both_sides(entries, case):
     # engine; 12 and 40 split random graphs between them
     g, alive = case
     inside = [v for v in range(g.n) if alive >> v & 1]
-    expected = mis._PolynomialMemo(g, None).poly(alive)
+    [expected] = _memo_polys(g, alive, [alive])
     assert list(expected) == brute_count_by_size(induced_subgraph(g, inside)[0])
     with mock.patch.object(mis, "_ENGINE_ENTRIES", entries):
         assert independence_polynomial(g, alive=alive).coefficients == expected
@@ -283,7 +298,7 @@ def test_engine_on_components_cliques_and_isolated_vertices(monkeypatch):
         disjoint_union(disjoint_union(path_graph(3), k3), empty_graph(2)),
         disjoint_union(cycle_graph(5), disjoint_union(k3, k3)),
     ]
-    calls = _memo_calls(monkeypatch)
+    calls = _calls(monkeypatch, mis._PolynomialMemo, "poly")
     for g in cases:
         assert _engine_entries(g, (1 << g.n) - 1) <= mis._ENGINE_ENTRIES
         full, parts = neighborhood_polynomials(g)
@@ -317,7 +332,7 @@ def _complete_bipartite(a: int, b: int) -> Graph:
 def test_dispatch_follows_the_table_entries(monkeypatch):
     # a graph whose tables hold exactly _ENGINE_ENTRIES entries goes to the
     # engine, one with one entry more to the memo
-    calls = _memo_calls(monkeypatch)
+    calls = _calls(monkeypatch, mis._PolynomialMemo, "poly")
     g = _complete_bipartite(3, 5)
     exact = _memo_parts(g)
     entries = _engine_entries(g, (1 << g.n) - 1)
@@ -330,24 +345,28 @@ def test_dispatch_follows_the_table_entries(monkeypatch):
         assert (not calls) == engine_side
 
 
-def test_complete_bipartite_graphs_go_to_the_memo(monkeypatch):
-    # min-degree eliminates the 30 side first, each vertex with the whole
-    # 14 side as separator, which is independent in G: 30 * 2**14 table
-    # entries; the memo splits the graph into isolated vertices after one
-    # branch
-    g = _complete_bipartite(14, 30)
+@pytest.mark.parametrize("a, b", [(14, 30), (20, 100)])
+def test_complete_bipartite_graphs_go_to_the_memo(monkeypatch, a, b):
+    # min-degree eliminates the b side first, each vertex with the whole a
+    # side as separator, which is independent in G: b * 2**a table entries;
+    # the memo splits the graph into isolated vertices after one branch
+    g = _complete_bipartite(a, b)
+    enumerated = _calls(monkeypatch, mis, "_independent_subsets")
     assert mis._elimination_order(g, (1 << g.n) - 1) is None
-    calls = _memo_calls(monkeypatch)
+    # the separators are enumerated while their 2**a keys fit, and given up
+    # on before enumeration once they do not
+    assert len(enumerated) == mis._ENGINE_ENTRIES >> a
+    calls = _calls(monkeypatch, mis._PolynomialMemo, "poly")
     full, parts = neighborhood_polynomials(g)
     assert calls
 
     def binomials(n: int) -> tuple[int, ...]:
         return tuple(comb(n, s) for s in range(n + 1))
 
-    expected = [a + b for a, b in zip_longest(binomials(14), binomials(30), fillvalue=0)]
+    expected = [x + y for x, y in zip_longest(binomials(a), binomials(b), fillvalue=0)]
     expected[0] = 1
     assert full.coefficients == tuple(expected)
-    assert [p.coefficients for p in parts] == [binomials(13)] * 14 + [binomials(29)] * 30
+    assert [p.coefficients for p in parts] == [binomials(a - 1)] * a + [binomials(b - 1)] * b
 
 
 def test_neighborhood_polynomials_of_a_long_path_closed_form():
