@@ -14,9 +14,10 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 
 from .csma import parse_theta, starvation_report, theta_sweep, throughput, throughput_limit
-from .extendability import is_one_extendable, param_one_extendability
+from .extendability import _verdicts_json, is_one_extendable, param_one_extendability
 from .graph import Graph, parse_graph, serialize_graph
 from .kernelize import kernelize, oracle_degenerate, oracle_krfree
 from .mis import BudgetExceededError, max_independent_set
@@ -90,18 +91,14 @@ def _cmd_alpha(args) -> int:
 def _cmd_check_1ext(args) -> int:
     g = _load_graph(args.graph)
     report = is_one_extendable(g, args.budget, stop_at_first_uncovered=args.first_uncovered)
-    _emit(report.to_json_dict())
+    print(report.to_json())
     return EXIT_OK if report.is_one_extendable else EXIT_NO
 
 
 def _cmd_check_param(args) -> int:
     g = _load_graph(args.graph)
     ok, verdicts = param_one_extendability(g, args.k, args.budget)
-    _emit({
-        "k": args.k,
-        "all_covered": ok,
-        "vertices": [v.to_json_dict() for v in verdicts],
-    })
+    print(_verdicts_json({"k": args.k, "all_covered": ok}, verdicts))
     return EXIT_OK if ok else EXIT_NO
 
 
@@ -268,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
+        # the handler is looked up by name when it runs, so a cached
+        # parser still calls whatever the module holds under that name
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(handler=fn.__name__)
         return p
 
     p = add("alpha", _cmd_alpha, help="maximum independent set size and witness")
@@ -355,11 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.handler](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

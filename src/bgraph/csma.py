@@ -11,9 +11,11 @@ model).  As theta grows, p_v tends to the fraction of maximum independent
 sets containing v, so a vertex in no MIS starves: the starving vertices are
 exactly the uncovered vertices of the 1-extendability scan.
 
-All arithmetic is exact rational: theta^alpha overflows floats quickly and
-the limit comparison must be exact.  Decimal rendering happens only at the
-output boundary.
+Shares are exact integer ratios: theta^alpha overflows floats quickly and
+the limit comparison must be exact.  With theta = p/q every share is an
+int numerator over one common int denominator, reduced once into a
+Fraction by throughput and rounded straight from the ratio by the sweep.
+Decimal rendering happens only at the output boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from fractions import Fraction
 
 from .extendability import _report
 from .graph import Graph
-from .mis import IndependencePolynomial, neighborhood_polynomials
+from .mis import (
+    IndependencePolynomial,
+    _homogeneous_horner,
+    _packed_polynomials,
+    neighborhood_polynomials,
+)
 from .unitdisk import _exact_decimal
 
 
@@ -49,25 +56,38 @@ class LimitVector:
 
 def _shares(
     full: IndependencePolynomial, parts: tuple[IndependencePolynomial, ...], theta: Fraction
-) -> tuple[Fraction, ...]:
-    """p_v(theta) = theta * I(G - N[v])(theta) / I(G)(theta)."""
-    z = full.evaluate(theta)
-    return tuple(theta * part.evaluate(theta) / z for part in parts)
+) -> tuple[list[int], int]:
+    """p_v(theta) = theta * I(G - N[v])(theta) / I(G)(theta) as unreduced
+    (numerators, common denominator).
+
+    With theta = p/q, N_v = q**deg I_v * I_v(p/q) and Z = q**alpha * I(p/q)
+    are ints, and p_v = p * N_v * q**(alpha - 1 - deg I_v) / Z; the power
+    is never negative because I(G - N[v]) has degree at most alpha - 1."""
+    p, q = theta.numerator, theta.denominator
+    top = full.degree - 1
+    nums = [p * _homogeneous_horner(part.coefficients, p, q) * q ** (top - part.degree)
+            for part in parts]
+    return nums, _homogeneous_horner(full.coefficients, p, q)
 
 
 def throughput(g: Graph, theta: Fraction, budget: int | None = None) -> ThroughputVector:
     """Exact per-vertex airtime shares at the given theta > 0."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    return ThroughputVector(theta, _shares(*neighborhood_polynomials(g, budget), theta))
+    nums, den = _shares(*neighborhood_polynomials(g, budget), theta)
+    return ThroughputVector(theta, tuple(Fraction(num, den) for num in nums))
 
 
 def throughput_limit(g: Graph, budget: int | None = None) -> LimitVector:
     """Per-vertex limits of p_v as theta grows without bound:
-    [x^(alpha-1)] I(G - N[v]) / [x^alpha] I(G)."""
-    full, parts = neighborhood_polynomials(g, budget)
-    alpha = full.degree
-    return LimitVector(tuple(Fraction(p.count(alpha - 1), full.count(alpha)) for p in parts))
+    [x^(alpha-1)] I(G - N[v]) / [x^alpha] I(G), read off the packed
+    polynomials by shifts: I(G - N[v]) has degree at most alpha - 1, so
+    its coefficient there is all the bits from that digit up."""
+    shift, whole, parts = _packed_polynomials(g, (1 << g.n) - 1, budget, True)
+    alpha = (whole.bit_length() - 1) // shift
+    top = whole >> alpha * shift
+    low = (alpha - 1) * shift
+    return LimitVector(tuple(Fraction(parts[v] >> low, top) for v in range(g.n)))
 
 
 def starvation_report(g: Graph, budget: int | None = None) -> tuple[int, ...]:
@@ -78,15 +98,15 @@ def starvation_report(g: Graph, budget: int | None = None) -> tuple[int, ...]:
     return _report(g, budget, False, False).uncovered()
 
 
-def _format_decimal(x: Fraction, precision: int) -> str:
-    """Fixed-point rendering, round half to even, exact integer arithmetic."""
-    scale = 10 ** precision
-    scaled = x * scale
-    whole, frac = divmod(scaled.numerator, scaled.denominator)
+def _format_decimal(num: int, den: int, precision: int) -> str:
+    """Fixed-point rendering of num/den (num >= 0, den > 0), round half to even,
+    exact integer arithmetic.  num and den need no common factor removed:
+    the quotient and the tie test scale with them."""
+    whole, frac = divmod(num * 10 ** precision, den)
     double = 2 * frac
-    if double > scaled.denominator or (double == scaled.denominator and whole % 2 == 1):
+    if double > den or (double == den and whole % 2 == 1):
         whole += 1
-    digits = f"{whole:0{precision + 1}d}" if whole >= 0 else f"-{-whole:0{precision + 1}d}"
+    digits = f"{whole:0{precision + 1}d}"
     if precision == 0:
         return digits
     return f"{digits[:-precision]}.{digits[-precision:]}"
@@ -112,6 +132,7 @@ def theta_sweep(
     full, parts = neighborhood_polynomials(g, budget)
     lines = ["theta," + ",".join(f"p_{v}" for v in range(g.n))]
     for theta in thetas:
-        shares = _shares(full, parts, theta)
-        lines.append(",".join([str(theta)] + [_format_decimal(p, precision) for p in shares]))
+        nums, den = _shares(full, parts, theta)
+        lines.append(",".join([str(theta)] + [_format_decimal(num, den, precision)
+                                              for num in nums]))
     return "\n".join(lines) + "\n"

@@ -47,16 +47,38 @@ class ExtendabilityReport:
     def uncovered(self) -> tuple[int, ...]:
         return tuple(v.vertex for v in self.verdicts if not v.covered)
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
         return {
             "alpha": self.alpha,
             "one_extendable": self.is_one_extendable,
             "complete": self.complete,
-            "vertices": [v.to_json_dict() for v in self.verdicts],
         }
 
+    def to_json_dict(self) -> dict:
+        return {**self._head(), "vertices": [v.to_json_dict() for v in self.verdicts]}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _verdicts_json(self._head(), self.verdicts)
+
+
+def _verdicts_json(head: dict, verdicts) -> str:
+    """json.dumps of head plus "vertices": [v.to_json_dict() for v in
+    verdicts] with sort_keys, byte for byte, encoding each distinct witness
+    once: a report reuses a few witnesses over many vertices.  "vertices"
+    must sort after every key of head."""
+    witnesses: dict[tuple[int, ...], str] = {}
+    items = []
+    for v in verdicts:
+        if v.covered:
+            wit = v.witness or ()
+            text = witnesses.get(wit)
+            if text is None:
+                text = witnesses[wit] = json.dumps(list(wit))
+            items.append(f'{{"covered": true, "id": {v.vertex}, "witness": {text}}}')
+        else:
+            best = json.dumps(v.best_size)
+            items.append(f'{{"best_size": {best}, "covered": false, "id": {v.vertex}}}')
+    return f'{json.dumps(head, sort_keys=True)[:-1]}, "vertices": [{", ".join(items)}]}}'
 
 
 def _scan(

@@ -76,10 +76,20 @@ class IndependencePolynomial:
         return sum(self.coefficients)
 
     def evaluate(self, theta: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * theta + c
-        return acc
+        q = theta.denominator
+        return Fraction(_homogeneous_horner(self.coefficients, theta.numerator, q),
+                        q ** self.degree)
+
+
+def _homogeneous_horner(coefficients: Sequence[int], p: int, q: int) -> int:
+    """q**deg * P(p/q) as an int, for P with the given coefficients
+    N_0..N_deg: the sum of N_s * p**s * q**(deg - s)."""
+    acc = 0
+    scale = 1
+    for c in reversed(coefficients):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
 
 
 def _components(adj: list[int], alive: int) -> list[int]:
@@ -372,17 +382,24 @@ def _elimination_order(g: Graph, alive: int) -> list[tuple[int, int, list[int]]]
     separator, keys) triples: the separator is the vertex's later neighbors
     in the filled graph, the keys its independent subsets in G, one table
     entry each.  None as soon as the tables would hold more than
-    _ENGINE_ENTRIES entries in all."""
+    _ENGINE_ENTRIES entries in all.
+
+    A separator with s independent vertices has at least 2**s keys, so the
+    whole order is built first while these lower bounds are summed, and
+    no key is enumerated when their sum already passes the cap."""
     queue = _DegreeQueue(g, alive)
-    order = []
-    room = _ENGINE_ENTRIES
+    steps = []
+    least = 0
     while queue.alive:
         v, _ = queue.min()
         sep = queue.eliminate(v)
-        # a separator with s independent vertices has at least 2**s keys,
-        # so give up before enumerating them
-        if 1 << _greedy_independent_size(g.adj, sep) > room:
+        least += 1 << _greedy_independent_size(g.adj, sep)
+        if least > _ENGINE_ENTRIES:
             return None
+        steps.append((v, sep))
+    order = []
+    room = _ENGINE_ENTRIES
+    for v, sep in steps:
         keys = _independent_subsets(g.adj, sep, room)
         if keys is None:
             return None

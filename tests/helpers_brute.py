@@ -9,6 +9,7 @@ are fair cross-checks for the branch-and-bound engine.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -242,3 +243,39 @@ def graph_and_mask(draw, max_n=40):
     p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     g = random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
     return g, draw(st.integers(0, (1 << n) - 1))
+
+
+# Rational references for the CSMA layer: the Fraction arithmetic it used
+# before shares became integer ratios.  They take polynomials as
+# coefficient sequences N_0..N_deg and check only the arithmetic.
+
+def fraction_horner(coefficients, theta: Fraction) -> Fraction:
+    """P(theta) by Horner's rule in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * theta + c
+    return acc
+
+
+def fraction_shares(full, parts, theta: Fraction) -> tuple[Fraction, ...]:
+    """p_v(theta) = theta * I(G - N[v])(theta) / I(G)(theta)."""
+    z = fraction_horner(full, theta)
+    return tuple(theta * fraction_horner(part, theta) / z for part in parts)
+
+
+def fraction_limits(full, parts) -> tuple[Fraction, ...]:
+    """[x^(alpha-1)] I(G - N[v]) / [x^alpha] I(G)."""
+    alpha = len(full) - 1
+    return tuple(Fraction(part[alpha - 1] if alpha - 1 < len(part) else 0, full[alpha])
+                 for part in parts)
+
+
+def fraction_decimal(x: Fraction, precision: int) -> str:
+    """x >= 0 in fixed point, round half to even."""
+    scaled = x * 10 ** precision
+    whole, frac = divmod(scaled.numerator, scaled.denominator)
+    double = 2 * frac
+    if double > scaled.denominator or (double == scaled.denominator and whole % 2 == 1):
+        whole += 1
+    digits = f"{whole:0{precision + 1}d}"
+    return digits if precision == 0 else f"{digits[:-precision]}.{digits[-precision:]}"

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
+import random
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgraph.cli import main
+from bgraph.extendability import is_one_extendable, param_one_extendability
 from bgraph.graph import parse_graph, serialize_graph
-from helpers_brute import path_graph
+from helpers_brute import path_graph, random_graph
 
 
 @pytest.fixture
@@ -330,3 +337,23 @@ def test_deterministic_output(capsys, p5_file):
     _, out1, _ = run(capsys, ["check-1ext", p5_file])
     _, out2, _ = run(capsys, ["check-1ext", p5_file])
     assert out1 == out2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 14), st.sampled_from([0.1, 0.3, 0.6]), st.integers(0, 2**32),
+       st.integers(0, 6))
+def test_reports_match_json_dumps_byte_for_byte(n, p, seed, k):
+    g = random_graph(random.Random(seed), n, p)
+    ok, verdicts = param_one_extendability(g, k)
+    cases = [
+        (["check-1ext", "-"], is_one_extendable(g).to_json_dict()),
+        (["check-1ext", "-", "--first-uncovered"],
+         is_one_extendable(g, stop_at_first_uncovered=True).to_json_dict()),
+        (["check-param", "-", "--k", str(k)],
+         {"k": k, "all_covered": ok, "vertices": [v.to_json_dict() for v in verdicts]}),
+    ]
+    for argv, payload in cases:
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(serialize_graph(g))), redirect_stdout(out):
+            main(argv)
+        assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"

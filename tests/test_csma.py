@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgraph.csma import (
     parse_theta,
@@ -14,13 +17,18 @@ from bgraph.csma import (
 from bgraph import mis
 from bgraph.extendability import is_one_extendable
 from bgraph.graph import Graph
-from bgraph.mis import BudgetExceededError, independence_polynomial
+from bgraph.mis import BudgetExceededError, independence_polynomial, neighborhood_polynomials
 from helpers_brute import (
     brute_all_is_of_size,
+    brute_count_by_size,
     complete_graph,
     cycle_graph,
     empty_graph,
+    fraction_decimal,
+    fraction_limits,
+    fraction_shares,
     path_graph,
+    random_graph,
     random_graph_suite,
 )
 
@@ -191,3 +199,54 @@ def test_p4_no_starvation_at_wifi_thetas():
     for row in csv.splitlines()[1:]:
         for cell in row.split(",")[1:]:
             assert float(cell) >= 0.05
+
+
+@st.composite
+def graph_and_theta(draw, max_n=12):
+    """A seeded G(n, p) graph and a theta = p/q in lowest terms with q > 1."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+    q = draw(st.integers(2, 60))
+    theta = Fraction(draw(st.integers(1, 500)), q)
+    if theta.denominator == 1:
+        theta += Fraction(1, q)
+    return g, theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_theta())
+def test_integer_shares_match_fraction_arithmetic(case):
+    g, theta = case
+    full, parts = neighborhood_polynomials(g)
+    coeffs = [p.coefficients for p in parts]
+    exact = fraction_shares(full.coefficients, coeffs, theta)
+    assert throughput(g, theta).p == exact
+    assert throughput_limit(g).p == fraction_limits(full.coefficients, coeffs)
+    for precision in range(9):
+        rows = theta_sweep(g, [theta, Fraction(1)], precision).splitlines()[1:]
+        expected = [exact, fraction_shares(full.coefficients, coeffs, Fraction(1))]
+        for row, shares, t in zip(rows, expected, (theta, Fraction(1))):
+            assert row.split(",") == [str(t)] + [fraction_decimal(x, precision) for x in shares]
+
+
+@pytest.mark.parametrize("g, theta, precision, row", [
+    # 1/2 rounds to the even 0, 3/4 to the even 0.8
+    (empty_graph(1), Fraction(1), 0, "1,0"),
+    (empty_graph(1), Fraction(3), 1, "3,0.8"),
+    # two isolated vertices: the same ties as unreduced ratios 2/4 and 12/16
+    (empty_graph(2), Fraction(1), 0, "1,0,0"),
+    (empty_graph(2), Fraction(3), 1, "3,0.8,0.8"),
+])
+def test_sweep_rounds_exact_ties_half_to_even(g, theta, precision, row):
+    assert theta_sweep(g, [theta], precision).splitlines()[1] == row
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_theta(max_n=10), st.booleans())
+def test_evaluate_matches_state_sum(case, whole):
+    g, theta = case
+    if whole:
+        theta = Fraction(theta.numerator)
+    states = sum(c * theta ** k for k, c in enumerate(brute_count_by_size(g)))
+    assert independence_polynomial(g).evaluate(theta) == states

@@ -353,9 +353,9 @@ def test_complete_bipartite_graphs_go_to_the_memo(monkeypatch, a, b):
     g = _complete_bipartite(a, b)
     enumerated = _calls(monkeypatch, mis, "_independent_subsets")
     assert mis._elimination_order(g, (1 << g.n) - 1) is None
-    # the separators are enumerated while their 2**a keys fit, and given up
-    # on before enumeration once they do not
-    assert len(enumerated) == mis._ENGINE_ENTRIES >> a
+    # the greedy 2**a lower bounds of the separators pass the cap before
+    # any separator is enumerated
+    assert not enumerated
     calls = _calls(monkeypatch, mis._PolynomialMemo, "poly")
     full, parts = neighborhood_polynomials(g)
     assert calls
