@@ -35,6 +35,7 @@ from .transforms import (
     w1_construction,
 )
 from .unitdisk import (
+    DiskLayout,
     intersection_graph,
     parse_embedding,
     parse_layout,
@@ -60,14 +61,30 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
 
 
-def _write_graph(g: Graph, path: str) -> None:
-    text = serialize_graph(g)  # may raise; leave no truncated file behind
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _emit_graph(g: Graph, path: str, layout: tuple[str, DiskLayout] | None = None,
+                **parts) -> int:
+    """Write g to path, and a disk layout to its own path, then report g's
+    size, the paths and each part's to_json_dict(), leaving out None parts.
+    g is serialized before its file is opened, so a graph that cannot be
+    written leaves no file behind; the parts are converted after the
+    writes, so a large certificate is never held together with g's text."""
+    _write(path, serialize_graph(g))
+    payload = {"n": g.n, "m": g.m, "out": path}
+    if layout is not None:
+        payload["layout"], disks = layout
+        _write(payload["layout"], serialize_layout(disks))
+    payload.update((key, part.to_json_dict()) for key, part in parts.items() if part is not None)
+    _emit(payload)
+    return EXIT_OK
 
 
 def _parse_cliques(text: str) -> list[tuple[int, ...]]:
@@ -124,12 +141,7 @@ def _cmd_transform(args) -> int:
         out, cert = w1_construction(g, _parse_cliques(args.cliques)), None
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown transform {args.kind}")
-    _write_graph(out, args.out)
-    payload = {"n": out.n, "m": out.m, "out": args.out}
-    if cert is not None:
-        payload["certificate"] = cert.to_json_dict()
-    _emit(payload)
-    return EXIT_OK
+    return _emit_graph(out, args.out, certificate=cert)
 
 
 def _cmd_gadget(args) -> int:
@@ -137,9 +149,7 @@ def _cmd_gadget(args) -> int:
     if args.what == "emit":
         if not args.out:
             raise ValueError("gadget emit requires --out")
-        _write_graph(gad.graph, args.out)
-        _emit({"n": gad.graph.n, "m": gad.graph.m, "out": args.out})
-        return EXIT_OK
+        return _emit_graph(gad.graph, args.out)
     table = gadget_table(gad, args.budget)
     header = "        |X∩S|=0 |X∩S|=1 |X∩S|=2"
     print(header)
@@ -173,17 +183,13 @@ def _parse_specs(text: str) -> list[CrossingSpec]:
 def _cmd_replace_crossings(args) -> int:
     g = _load_graph(args.graph)
     out, cert = replace_crossings(g, _parse_specs(_read(args.specs)))
-    _write_graph(out, args.out)
-    _emit({"n": out.n, "m": out.m, "out": args.out, "certificate": cert.to_json_dict()})
-    return EXIT_OK
+    return _emit_graph(out, args.out, certificate=cert)
 
 
 def _cmd_reduce_3sat(args) -> int:
     formula = parse_pmr3sat(_read(args.formula))
     out, cert = build_g_phi(formula, apply_t3=args.t3)
-    _write_graph(out, args.out)
-    _emit({"n": out.n, "m": out.m, "out": args.out, "certificate": cert.to_json_dict()})
-    return EXIT_OK
+    return _emit_graph(out, args.out, certificate=cert)
 
 
 def _cmd_kernelize(args) -> int:
@@ -195,9 +201,7 @@ def _cmd_kernelize(args) -> int:
             raise ValueError("krfree oracle requires --r")
         oracle = oracle_krfree(args.r)
     out, trace = kernelize(g, args.k, oracle)
-    _write_graph(out, args.out)
-    _emit({"n": out.n, "m": out.m, "out": args.out, "trace": trace.to_json_dict()})
-    return EXIT_OK
+    return _emit_graph(out, args.out, trace=trace)
 
 
 def _cmd_throughput(args) -> int:
@@ -235,17 +239,7 @@ def _cmd_unitdisk(args) -> int:
     g = _load_graph(args.graph)
     emb = parse_embedding(_read(args.embedding))
     sub, layout, cert = to_unit_disk(g, emb)
-    _write_graph(sub, args.out)
-    with open(args.layout, "w", encoding="utf-8") as f:
-        f.write(serialize_layout(layout))
-    _emit({
-        "n": sub.n,
-        "m": sub.m,
-        "out": args.out,
-        "layout": args.layout,
-        "certificate": cert.to_json_dict(),
-    })
-    return EXIT_OK
+    return _emit_graph(sub, args.out, (args.layout, layout), certificate=cert)
 
 
 def _cmd_verify_disks(args) -> int:
@@ -264,91 +258,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        # the handler is looked up by name when it runs, so a cached
-        # parser still calls whatever the module holds under that name
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=fn.__name__)
+    def shared(*args, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding one argument that several commands take."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*args, **kwargs)
         return p
 
-    p = add("alpha", _cmd_alpha, help="maximum independent set size and witness")
-    p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    graph = shared("graph")
+    budget = shared("--budget", type=int, default=None)
 
-    p = add("check-1ext", _cmd_check_1ext, help="does every vertex lie in some MIS")
-    p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    def add(name, fn, parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
+        p.set_defaults(handler=fn)
+        return p
+
+    add("alpha", _cmd_alpha, [graph, budget], help="maximum independent set size and witness")
+
+    p = add("check-1ext", _cmd_check_1ext, [graph, budget],
+            help="does every vertex lie in some MIS")
     p.add_argument("--first-uncovered", action="store_true",
                    help="stop the scan at the first uncovered vertex")
 
-    p = add("check-param", _cmd_check_param,
+    p = add("check-param", _cmd_check_param, [graph, budget],
             help="does every vertex lie in an independent set of size k")
-    p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
 
-    p = add("transform", _cmd_transform, help="apply a graph construction")
-    p.add_argument("kind", choices=["t1", "t2", "t3", "gplus", "gap", "w1"])
-    p.add_argument("graph")
+    # the kind comes before the graph on the command line
+    kind = shared("kind", choices=["t1", "t2", "t3", "gplus", "gap", "w1"])
+    p = add("transform", _cmd_transform, [kind, graph], help="apply a graph construction")
     p.add_argument("--out", required=True)
     p.add_argument("--s", type=int, default=1, help="half the subdivision count (t2)")
     p.add_argument("--r", type=int, default=None, help="target alpha (gplus)")
     p.add_argument("--cliques", default=None,
                    help="clique partition, e.g. '0 1|2 3|4' (gap, w1)")
 
-    p = add("gadget", _cmd_gadget, help="crossover gadget utilities")
+    p = add("gadget", _cmd_gadget, [budget], help="crossover gadget utilities")
     p.add_argument("what", choices=["emit", "table"])
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=None)
 
-    p = add("replace-crossings", _cmd_replace_crossings,
+    p = add("replace-crossings", _cmd_replace_crossings, [graph],
             help="splice crossover gadgets into listed crossings")
-    p.add_argument("graph")
     p.add_argument("--specs", required=True,
                    help="JSON: [{through: [u,v], crossed: [[a,b], ...]}, ...]")
     p.add_argument("--out", required=True)
 
-    p = add("reduce-3sat", _cmd_reduce_3sat,
+    p = add("reduce-3sat", _cmd_reduce_3sat, [],
             help="compile a rectilinear monotone 3-CNF layout to a graph")
     p.add_argument("formula")
     p.add_argument("--t3", action="store_true", help="cap the output degree at 3")
     p.add_argument("--out", required=True)
 
-    p = add("kernelize", _cmd_kernelize, help="shrink a parameterized instance")
-    p.add_argument("graph")
+    p = add("kernelize", _cmd_kernelize, [graph], help="shrink a parameterized instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--oracle", choices=["degen", "krfree"], required=True)
     p.add_argument("--r", type=int, default=None, help="forbidden clique size (krfree)")
     p.add_argument("--out", required=True)
 
-    p = add("throughput", _cmd_throughput, help="exact airtime share per vertex")
-    p.add_argument("graph")
+    p = add("throughput", _cmd_throughput, [graph, budget],
+            help="exact airtime share per vertex")
     p.add_argument("--theta", required=True)
-    p.add_argument("--budget", type=int, default=None)
 
-    p = add("sweep", _cmd_sweep, help="CSV of airtime shares over several thetas")
-    p.add_argument("graph")
+    p = add("sweep", _cmd_sweep, [graph, budget],
+            help="CSV of airtime shares over several thetas")
     p.add_argument("--thetas", required=True, help="comma-separated, e.g. 1,10,100")
     p.add_argument("--precision", type=int, default=6)
-    p.add_argument("--budget", type=int, default=None)
 
-    p = add("limit", _cmd_limit, help="airtime shares in the large-theta limit")
-    p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    add("limit", _cmd_limit, [graph, budget], help="airtime shares in the large-theta limit")
+    add("starvation", _cmd_starvation, [graph, budget],
+        help="vertices whose share tends to zero")
 
-    p = add("starvation", _cmd_starvation, help="vertices whose share tends to zero")
-    p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
-
-    p = add("unitdisk", _cmd_unitdisk, help="realize an orthogonal drawing with unit disks")
-    p.add_argument("graph")
+    p = add("unitdisk", _cmd_unitdisk, [graph],
+            help="realize an orthogonal drawing with unit disks")
     p.add_argument("--embedding", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--layout", required=True)
 
-    p = add("verify-disks", _cmd_verify_disks,
+    p = add("verify-disks", _cmd_verify_disks, [graph],
             help="check a disk layout realizes the given graph")
-    p.add_argument("graph")
     p.add_argument("--layout", required=True)
 
     return parser
@@ -363,7 +349,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return globals()[args.handler](args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -566,23 +566,37 @@ class _PolynomialMemo:
         self.memo: dict[int, int] = {0: 1}
 
     def poly(self, mask: int) -> int:
-        hit = self.memo.get(mask)
-        if hit is not None:
-            return hit
-        self.budget.spend()
-        adj = self.adj
-        comps = _components(adj, mask)
-        if len(comps) > 1:
-            acc = 1
-            for comp in comps:
-                acc *= self.poly(comp)
-        else:
-            best_v = _max_degree_vertex(adj, mask, mask)
-            without = self.poly(mask & ~(1 << best_v))
-            closed = self.poly(mask & ~(adj[best_v] | (1 << best_v)))
-            acc = without + (closed << self.shift)
-        self.memo[mask] = acc
-        return acc
+        """I(G[mask]), packed.  An explicit stack visits the masks in the
+        order of the plain recursion, whose depth (one frame per deleted
+        vertex on K_n) would overflow the Python stack."""
+        adj, memo, shift, spend = self.adj, self.memo, self.shift, self.budget.spend
+        todo: list[int | None] = [mask]  # None: combine the top of frames
+        # (mask, components, None) or (mask, mask - v, mask - N[v])
+        frames: list[tuple] = []
+        while todo:
+            top = todo.pop()
+            if top is None:
+                top, a, b = frames.pop()
+                memo[top] = (prod(memo[comp] for comp in a) if b is None
+                             else memo[a] + (memo[b] << shift))
+            elif top not in memo:
+                spend()
+                comps = _components(adj, top)
+                todo.append(None)
+                # children are pushed last-first so the first is solved first;
+                # one that is already known is skipped
+                if len(comps) > 1:
+                    frames.append((top, comps, None))
+                    todo.extend(comp for comp in reversed(comps) if comp not in memo)
+                else:
+                    v = _max_degree_vertex(adj, top, top)
+                    a, b = top & ~(1 << v), top & ~(adj[v] | 1 << v)
+                    frames.append((top, a, b))
+                    if b not in memo:
+                        todo.append(b)
+                    if a not in memo:
+                        todo.append(a)
+        return memo[mask]
 
 
 def _packed_polynomials(

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .graph import Graph
 from .transforms import TransformCertificate, _splice_gadgets, t3_degree_reduce
+from .unitdisk import _exact_decimal
 
 
 class FormulaError(ValueError):
@@ -104,7 +105,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
     xs: list[Fraction] = []
     for row in _objects(data.get("variables", []), "variables"):
         names.append(str(row["name"]))
-        xs.append(Fraction(str(row["x"])))
+        xs.append(_exact_decimal(str(row["x"])))
     if not names:
         raise FormulaError("no variables")
     if len(set(names)) != len(names):
@@ -126,7 +127,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
         if sign not in ("+", "-"):
             raise FormulaError(f"clause {cnum}: sign must be '+' or '-'")
         positive = sign == "+"
-        y = Fraction(str(row["y"]))
+        y = _exact_decimal(str(row["y"]))
         if y == 0 or (y > 0) != positive:
             raise FormulaError(
                 f"clause {cnum}: y-level {y} inconsistent with sign {sign}"
@@ -143,7 +144,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
             if name not in index:
                 raise FormulaError(f"clause {cnum}: unknown variable {name!r}")
             i = index[name]
-            x = Fraction(str(leg["x"])) if "x" in leg else xs[i]
+            x = _exact_decimal(str(leg["x"])) if "x" in leg else xs[i]
             lo, hi = zone(i)
             if (lo is not None and x <= lo) or (hi is not None and x >= hi):
                 raise FormulaError(

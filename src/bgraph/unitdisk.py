@@ -64,20 +64,25 @@ def _int_field(value, what: str, error: type[ValueError] = EmbeddingError) -> in
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-# Widest decimal exponent a layout coordinate or a theta may carry:
+# Widest decimal exponent a layout or formula coordinate or a theta may carry:
 # Fraction("1e999999999") builds 10**999999999 before anything could look at
 # the value.
 _MAX_EXPONENT = 1000
 
 
 def _exact_decimal(text: str) -> Fraction:
-    """A decimal or "p/q" string, as an exact rational; exponents beyond
-    _MAX_EXPONENT are refused."""
+    """A decimal or "p/q" string, as an exact rational; anything else, an
+    exponent beyond _MAX_EXPONENT and a zero denominator raise ValueError."""
     _, e, exponent = text.lower().partition("e")
-    if e and abs(int(exponent)) > _MAX_EXPONENT:
-        raise ValueError("point coordinates and theta values need exponents within "
-                         f"{_MAX_EXPONENT}, got {text!r}")
-    return Fraction(text)
+    try:
+        if not (e and abs(int(exponent)) > _MAX_EXPONENT):
+            return Fraction(text)
+    except ValueError:
+        raise ValueError(f"not a decimal or p/q number: {text!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    raise ValueError("point and formula coordinates and theta values need exponents "
+                     f"within {_MAX_EXPONENT}, got {text!r}")
 
 
 def _rational_field(value) -> Fraction:

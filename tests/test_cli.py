@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgraph.cli import main
+from bgraph.cli import build_parser, main
 from bgraph.extendability import is_one_extendable, param_one_extendability
 from bgraph.graph import parse_graph, serialize_graph
 from helpers_brute import path_graph, random_graph
@@ -222,6 +223,11 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     assert code == 2 and out == "" and "theta" in err
     code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1,1e-999999999"])
     assert code == 2 and out == "" and "theta" in err
+    # a zero denominator is an input error, not a ZeroDivisionError crash
+    code, out, err = run(capsys, ["throughput", p4_file, "--theta", "1/0"])
+    assert code == 2 and out == "" and "zero denominator" in err
+    code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1,1/0"])
+    assert code == 2 and out == "" and "zero denominator" in err
 
 
 def _formula(names, legs) -> str:
@@ -253,6 +259,11 @@ def _two_edges_embedding(**vertex_3) -> str:
     pytest.param("reduce-3sat", _formula(_ABC, [{"var": "a"}, "b", {"var": "c"}]),
                  id="formula-leg-str"),
     pytest.param("reduce-3sat", _formula(_ABC, 3), id="formula-legs-int"),
+    pytest.param("reduce-3sat", json.dumps({"variables": [{"name": "a", "x": "1/0"}],
+                                            "clauses": []}), id="formula-x-zero-denominator"),
+    # read at once, not after building 10**99999999
+    pytest.param("reduce-3sat", json.dumps({"variables": [{"name": "a", "x": "1e99999999"}],
+                                            "clauses": []}), id="formula-x-huge-exponent"),
     # a variable name that would break the edge-list label line
     pytest.param("reduce-3sat", _formula(["a\n0 1", "b", "c"],
                                          [{"var": "a\n0 1"}, {"var": "b"}, {"var": "c"}]),
@@ -280,6 +291,8 @@ def _two_edges_embedding(**vertex_3) -> str:
                  id="layout-id-fraction"),
     pytest.param("verify-disks", '{"points": [{"id": 0, "x": 1e999999999, "y": 0}]}',
                  id="layout-x-huge-exponent"),
+    pytest.param("verify-disks", json.dumps({"points": [{"id": 0, "x": "1/0", "y": 0}]}),
+                 id="layout-x-zero-denominator"),
     pytest.param("replace-crossings", "[3]", id="specs-int"),
     pytest.param("replace-crossings", json.dumps([{"through": 5, "crossed": []}]),
                  id="specs-through-int"),
@@ -318,15 +331,54 @@ def test_budget_exit_3(capsys, tmp_path, p4_file):
     # each solver call of the P4 scan fits in one node; the scan needs two
     code, out, err = run(capsys, ["check-1ext", p4_file, "--budget", "1"])
     assert code == 3 and out == "" and "budget" in err
+    # --k 2, since check-param answers --k 1 without a solve
+    for argv in (["check-param", p4_file, "--k", "2"], ["gadget", "table"],
+                 ["throughput", p4_file, "--theta", "1"], ["sweep", p4_file, "--thetas", "1"],
+                 ["starvation", p4_file]):
+        code, out, err = run(capsys, [*argv, "--budget", "0"])
+        assert (code, out) == (3, ""), argv
+        assert "budget" in err
+
+
+# Per command: its positionals in command-line order and its option
+# strings, as the command line has always accepted them.
+_COMMAND_LINE = {
+    "alpha": (["graph"], {"--budget"}),
+    "check-1ext": (["graph"], {"--budget", "--first-uncovered"}),
+    "check-param": (["graph"], {"--budget", "--k"}),
+    "transform": (["kind", "graph"], {"--cliques", "--out", "--r", "--s"}),
+    "gadget": (["what"], {"--budget", "--out"}),
+    "replace-crossings": (["graph"], {"--out", "--specs"}),
+    "reduce-3sat": (["formula"], {"--out", "--t3"}),
+    "kernelize": (["graph"], {"--k", "--oracle", "--out", "--r"}),
+    "throughput": (["graph"], {"--budget", "--theta"}),
+    "sweep": (["graph"], {"--budget", "--precision", "--thetas"}),
+    "limit": (["graph"], {"--budget"}),
+    "starvation": (["graph"], {"--budget"}),
+    "unitdisk": (["graph"], {"--embedding", "--layout", "--out"}),
+    "verify-disks": (["graph"], {"--layout"}),
+}
+
+
+def test_command_line_options_pinned():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    found = {
+        name: ([a.dest for a in p._actions if not a.option_strings],
+               {s for a in p._actions for s in a.option_strings} - {"-h", "--help"})
+        for name, p in commands.choices.items()
+    }
+    assert found == _COMMAND_LINE
 
 
 def test_internal_error_exit_4(capsys, monkeypatch, p5_file):
     from bgraph import cli
 
-    def boom(args):
+    def boom(*args, **kwargs):
         raise RuntimeError("solver crashed")
 
-    monkeypatch.setattr(cli, "_cmd_check_1ext", boom)
+    # the cached parser holds the handler itself, so patch the library call
+    monkeypatch.setattr(cli, "is_one_extendable", boom)
     code, out, err = run(capsys, ["check-1ext", p5_file])
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""

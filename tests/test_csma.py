@@ -102,6 +102,13 @@ def test_limits_p5_p4_k3():
     )
 
 
+def test_limit_on_a_large_clique_through_the_memo(monkeypatch):
+    # each memo miss on K_n deletes one vertex, so a recursive memo would
+    # overflow the Python stack long before n = 1200
+    monkeypatch.setattr(mis, "_ENGINE_ENTRIES", 0)
+    assert throughput_limit(complete_graph(1200)).p == (Fraction(1, 1200),) * 1200
+
+
 def test_convergence_toward_limit():
     for g in [path_graph(4), path_graph(5), cycle_graph(6), complete_graph(3)]:
         limit = throughput_limit(g).p

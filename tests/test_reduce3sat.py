@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -102,6 +103,16 @@ def test_parse_fig4_style_instance():
     f = parse_pmr3sat(text)
     assert f.m == 5 and f.n_vars == 5
     assert f.appearances(0) == 4
+
+
+def test_parse_reads_coordinates_exactly():
+    # a JSON number reads as the decimal it spells, as its string does
+    f = parse_pmr3sat(doc([("a", 1.2), ("b", "4e0")], [("+", 0.5, [("a", 1.25), ("a", 1.5),
+                                                                    ("b", None)])]))
+    assert f.var_xs == (Fraction(6, 5), Fraction(4))
+    (clause,) = f.clauses
+    assert clause.y == Fraction(1, 2)
+    assert [leg.x for leg in clause.legs] == [Fraction(5, 4), Fraction(3, 2), Fraction(4)]
 
 
 def test_parse_repeated_variable_counts_appearances():
