@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from functools import cache
@@ -36,6 +37,9 @@ from .transforms import (
 )
 from .unitdisk import (
     DiskLayout,
+    _document,
+    _objects,
+    _shown,
     intersection_graph,
     parse_embedding,
     parse_layout,
@@ -55,10 +59,6 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as f:
         return f.read()
-
-
-def _load_graph(path: str) -> Graph:
-    return parse_graph(_read(path))
 
 
 def _write(path: str, text: str) -> None:
@@ -99,46 +99,43 @@ def _parse_cliques(text: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_alpha(args) -> int:
-    g = _load_graph(args.graph)
-    res = max_independent_set(g, args.budget)
+    res = max_independent_set(args.graph, args.budget)
     _emit({"alpha": res.alpha, "witness": list(res.witness)})
     return EXIT_OK
 
 
 def _cmd_check_1ext(args) -> int:
-    g = _load_graph(args.graph)
-    report = is_one_extendable(g, args.budget, stop_at_first_uncovered=args.first_uncovered)
+    report = is_one_extendable(args.graph, args.budget,
+                               stop_at_first_uncovered=args.first_uncovered)
     print(report.to_json())
     return EXIT_OK if report.is_one_extendable else EXIT_NO
 
 
 def _cmd_check_param(args) -> int:
-    g = _load_graph(args.graph)
-    ok, verdicts = param_one_extendability(g, args.k, args.budget)
+    ok, verdicts = param_one_extendability(args.graph, args.k, args.budget)
     print(_verdicts_json({"k": args.k, "all_covered": ok}, verdicts))
     return EXIT_OK if ok else EXIT_NO
 
 
 def _cmd_transform(args) -> int:
-    g = _load_graph(args.graph)
     if args.kind == "t1":
-        out, cert = t1_pendant(g)
+        out, cert = t1_pendant(args.graph)
     elif args.kind == "t2":
-        out, cert = t2_subdivide(g, args.s)
+        out, cert = t2_subdivide(args.graph, args.s)
     elif args.kind == "t3":
-        out, cert = t3_degree_reduce(g)
+        out, cert = t3_degree_reduce(args.graph)
     elif args.kind == "gplus":
         if args.r is None:
             raise ValueError("gplus requires --r")
-        out, cert = g_plus(g, args.r), None
+        out, cert = g_plus(args.graph, args.r), None
     elif args.kind == "gap":
         if not args.cliques:
             raise ValueError("gap requires --cliques")
-        out, cert = gap_construction(g, _parse_cliques(args.cliques)), None
+        out, cert = gap_construction(args.graph, _parse_cliques(args.cliques)), None
     elif args.kind == "w1":
         if not args.cliques:
             raise ValueError("w1 requires --cliques")
-        out, cert = w1_construction(g, _parse_cliques(args.cliques)), None
+        out, cert = w1_construction(args.graph, _parse_cliques(args.cliques)), None
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown transform {args.kind}")
     return _emit_graph(out, args.out, certificate=cert)
@@ -165,24 +162,20 @@ def _parse_specs(text: str) -> list[CrossingSpec]:
     def edge(value) -> tuple[int, int]:
         if not (isinstance(value, list) and len(value) == 2
                 and all(type(x) is int for x in value)):
-            raise ValueError(f"expected an edge [u, v] of vertex ids, got {value!r}")
+            raise ValueError(f"expected an edge [u, v] of vertex ids, got {_shown(value)}")
         return value[0], value[1]
 
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
-        raise ValueError("crossing specs must be a JSON list of objects")
     specs = []
-    for entry in data:
+    for entry in _objects(_document(text), "crossing specs", ValueError):
         crossed = entry["crossed"]
         if not isinstance(crossed, list):
-            raise ValueError(f"'crossed' must be a list of edges, got {crossed!r}")
+            raise ValueError(f"'crossed' must be a list of edges, got {_shown(crossed)}")
         specs.append(CrossingSpec(edge(entry["through"]), tuple(edge(e) for e in crossed)))
     return specs
 
 
 def _cmd_replace_crossings(args) -> int:
-    g = _load_graph(args.graph)
-    out, cert = replace_crossings(g, _parse_specs(_read(args.specs)))
+    out, cert = replace_crossings(args.graph, _parse_specs(_read(args.specs)))
     return _emit_graph(out, args.out, certificate=cert)
 
 
@@ -193,60 +186,55 @@ def _cmd_reduce_3sat(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
-    g = _load_graph(args.graph)
     if args.oracle == "degen":
         oracle = oracle_degenerate()
     else:
         if args.r is None:
             raise ValueError("krfree oracle requires --r")
         oracle = oracle_krfree(args.r)
-    out, trace = kernelize(g, args.k, oracle)
+    out, trace = kernelize(args.graph, args.k, oracle)
     return _emit_graph(out, args.out, trace=trace)
 
 
 def _cmd_throughput(args) -> int:
-    g = _load_graph(args.graph)
     theta = parse_theta(args.theta)
-    tv = throughput(g, theta, args.budget)
+    tv = throughput(args.graph, theta, args.budget)
     _emit({"theta": str(theta), "p": [str(x) for x in tv.p]})
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    g = _load_graph(args.graph)
     thetas = [parse_theta(tok) for tok in args.thetas.split(",") if tok.strip()]
     if not thetas:
         raise ValueError("no theta values given")
-    sys.stdout.write(theta_sweep(g, thetas, args.precision, args.budget))
+    sys.stdout.write(theta_sweep(args.graph, thetas, args.precision, args.budget))
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
-    g = _load_graph(args.graph)
-    limit = throughput_limit(g, args.budget)
+    limit = throughput_limit(args.graph, args.budget)
     _emit({"p": [str(x) for x in limit.p]})
     return EXIT_OK
 
 
 def _cmd_starvation(args) -> int:
-    g = _load_graph(args.graph)
-    starving = starvation_report(g, args.budget)
+    starving = starvation_report(args.graph, args.budget)
     _emit({"starving": list(starving)})
     return EXIT_OK if not starving else EXIT_NO
 
 
 def _cmd_unitdisk(args) -> int:
-    g = _load_graph(args.graph)
+    if os.path.realpath(args.out) == os.path.realpath(args.layout):
+        raise ValueError(f"--out and --layout name the same file {args.out!r}")
     emb = parse_embedding(_read(args.embedding))
-    sub, layout, cert = to_unit_disk(g, emb)
+    sub, layout, cert = to_unit_disk(args.graph, emb)
     return _emit_graph(sub, args.out, (args.layout, layout), certificate=cert)
 
 
 def _cmd_verify_disks(args) -> int:
-    g = _load_graph(args.graph)
     layout = parse_layout(_read(args.layout))
     realized = intersection_graph(layout)
-    match = realized.n == g.n and realized.edges() == g.edges()
+    match = realized.n == args.graph.n and realized.edges() == args.graph.edges()
     _emit({"match": match})
     return EXIT_OK if match else EXIT_NO
 
@@ -349,6 +337,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "graph" in args:  # read before any other input, so errors come in that order
+            args.graph = parse_graph(_read(args.graph))
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

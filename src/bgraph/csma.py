@@ -20,6 +20,7 @@ Decimal rendering happens only at the output boundary.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,8 +130,12 @@ def theta_sweep(
             raise ValueError("theta must be positive")
     if precision < 0:
         raise ValueError(f"precision must be non-negative, got {precision}")
+    # the most digits Python prints of an int; 0 (or before 3.10.7, none): no limit
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits_limit and precision > digits_limit:
+        raise ValueError(f"precision must be at most {digits_limit}, got {precision}")
     full, parts = neighborhood_polynomials(g, budget)
-    lines = ["theta," + ",".join(f"p_{v}" for v in range(g.n))]
+    lines = [",".join(["theta"] + [f"p_{v}" for v in range(g.n)])]
     for theta in thetas:
         nums, den = _shares(full, parts, theta)
         lines.append(",".join([str(theta)] + [_format_decimal(num, den, precision)

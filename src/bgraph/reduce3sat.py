@@ -26,13 +26,12 @@ Compilation stages:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph
 from .transforms import TransformCertificate, _splice_gadgets, t3_degree_reduce
-from .unitdisk import _exact_decimal
+from .unitdisk import _document, _objects, _rational_field
 
 
 class FormulaError(ValueError):
@@ -87,25 +86,17 @@ class RectilinearFormula:
         return True
 
 
-def _objects(value, what: str) -> list[dict]:
-    if not isinstance(value, list) or not all(isinstance(row, dict) for row in value):
-        raise FormulaError(f"{what} must be a list of objects")
-    return value
-
-
 def parse_pmr3sat(text: str) -> RectilinearFormula:
-    """Parse and validate the JSON layout document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormulaError(f"not valid JSON: {exc}") from None
+    """Parse and validate the JSON layout document; coordinates are read
+    exactly, whether written as JSON numbers or as strings."""
+    data = _document(text)
     if not isinstance(data, dict):
         raise FormulaError("the document must be a JSON object")
     names: list[str] = []
     xs: list[Fraction] = []
-    for row in _objects(data.get("variables", []), "variables"):
+    for row in _objects(data.get("variables", []), "variables", FormulaError):
         names.append(str(row["name"]))
-        xs.append(_exact_decimal(str(row["x"])))
+        xs.append(_rational_field(row["x"]))
     if not names:
         raise FormulaError("no variables")
     if len(set(names)) != len(names):
@@ -122,17 +113,17 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
         return lo, hi
 
     clauses: list[RectClause] = []
-    for cnum, row in enumerate(_objects(data.get("clauses", []), "clauses")):
+    for cnum, row in enumerate(_objects(data.get("clauses", []), "clauses", FormulaError)):
         sign = row.get("sign")
         if sign not in ("+", "-"):
             raise FormulaError(f"clause {cnum}: sign must be '+' or '-'")
         positive = sign == "+"
-        y = _exact_decimal(str(row["y"]))
+        y = _rational_field(row["y"])
         if y == 0 or (y > 0) != positive:
             raise FormulaError(
                 f"clause {cnum}: y-level {y} inconsistent with sign {sign}"
             )
-        raw_legs = _objects(row.get("legs", []), f"clause {cnum}: legs")
+        raw_legs = _objects(row.get("legs", []), f"clause {cnum}: legs", FormulaError)
         if len(raw_legs) != 3:
             raise FormulaError(f"clause {cnum}: expected exactly 3 legs")
         legs = []
@@ -144,7 +135,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
             if name not in index:
                 raise FormulaError(f"clause {cnum}: unknown variable {name!r}")
             i = index[name]
-            x = _exact_decimal(str(leg["x"])) if "x" in leg else xs[i]
+            x = _rational_field(leg["x"]) if "x" in leg else xs[i]
             lo, hi = zone(i)
             if (lo is not None and x <= lo) or (hi is not None and x >= hi):
                 raise FormulaError(

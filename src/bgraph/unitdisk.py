@@ -14,7 +14,7 @@ intersection graph is computed without epsilon ambiguity.
 from __future__ import annotations
 
 import json
-import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -49,22 +49,26 @@ class DiskLayout:
         return len(self.points)
 
 
+def _shown(value) -> str:
+    """A value read from a _document, for an error message, decimals as p/q."""
+    return re.sub(r"Fraction\((-?\d+), (\d+)\)", r"\1/\2", repr(value))
+
+
 def _int_field(value, what: str, error: type[ValueError] = EmbeddingError) -> int:
-    """An id or grid coordinate read from JSON, as an exact int.
+    """An id or grid coordinate read from a _document, as an exact int.  Booleans,
+    fractions, Infinity and NaN are refused: int() would read True as 1,
+    truncate 2.5 or overflow."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise error(f"{what} must be an integer, got {_shown(value)}")
 
-    int() would read True as 1, truncate 2.7 to 2 and overflow on
-    Infinity, so booleans and fractional or non-finite numbers are refused.
-    """
-    if (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-            or isinstance(value, Fraction) and value.denominator != 1):
-        raise error(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise error(f"{what} must be an integer, got {value!r}") from None
 
-
-# Widest decimal exponent a layout or formula coordinate or a theta may carry:
+# Widest decimal exponent a number in a _document or a theta may carry:
 # Fraction("1e999999999") builds 10**999999999 before anything could look at
 # the value.
 _MAX_EXPONENT = 1000
@@ -85,23 +89,39 @@ def _exact_decimal(text: str) -> Fraction:
                      f"within {_MAX_EXPONENT}, got {text!r}")
 
 
+def _document(text: str):
+    """The JSON document bgraph reads formulas, embeddings, layouts and
+    crossing specs from: decimals are read exactly, so 1.2 is 6/5 as the
+    string "1.2" is, not the nearest binary float."""
+    try:
+        return json.loads(text, parse_float=_exact_decimal)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+
+
+def _objects(value, what: str, error: type[ValueError]) -> list[dict]:
+    """value, if it is a list of JSON objects; otherwise error is raised."""
+    if not isinstance(value, list) or not all(isinstance(row, dict) for row in value):
+        raise error(f"{what} must be a list of objects")
+    return value
+
+
 def _rational_field(value) -> Fraction:
-    """A layout coordinate read from JSON, as an exact rational; booleans and
-    non-finite floats are refused (Fraction() reads True as 1 and overflows
-    on Infinity)."""
-    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"point coordinates must be finite numbers, got {value!r}")
+    """A coordinate read from a _document, as an exact rational.  Only finite
+    numbers and decimal or "p/q" strings are read; booleans, too, are refused."""
     if isinstance(value, str):
         return _exact_decimal(value)
-    return Fraction(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError("point and formula coordinates must be finite numbers or decimal strings, "
+                     f"got {_shown(value)}")
 
 
 def parse_embedding(text: str) -> OrthogonalEmbedding:
-    data = json.loads(text)
+    data = _document(text)
     for key in ("vertices", "edges"):
-        rows = data.get(key) if isinstance(data, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise EmbeddingError(f"the embedding needs a list of {key} objects")
+        _objects(data.get(key) if isinstance(data, dict) else None, f"embedding {key}",
+                 EmbeddingError)
     coords: dict[int, Point] = {}
     polylines: dict[tuple[int, int], tuple[Point, ...]] = {}
     try:
@@ -157,20 +177,12 @@ def serialize_layout(layout: DiskLayout) -> str:
 
 
 def parse_layout(text: str) -> DiskLayout:
-    """Read a layout document; JSON decimals are read exactly, so "x": 1.2
-    is 6/5 as the string "1.2" is, not the nearest binary float."""
-    data = json.loads(text, parse_float=_exact_decimal)
-    rows = data.get("points") if isinstance(data, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise ValueError("the layout needs a list of points objects")
-    try:
-        points = {
-            _int_field(row["id"], "point id", ValueError):
-                (_rational_field(row["x"]), _rational_field(row["y"]))
-            for row in rows
-        }
-    except TypeError:
-        raise ValueError("point ids and coordinates must be numbers or strings") from None
+    """Read a layout document, its coordinates exactly."""
+    data = _document(text)
+    rows = _objects(data.get("points") if isinstance(data, dict) else None, "layout points",
+                    ValueError)
+    points = {_int_field(row["id"], "point id", ValueError):
+              (_rational_field(row["x"]), _rational_field(row["y"])) for row in rows}
     if sorted(points) != list(range(len(points))):
         raise ValueError("layout ids must be dense 0..n-1")
     return DiskLayout(points)

@@ -157,12 +157,17 @@ def test_throughput_and_limit(capsys, p4_file):
     assert json.loads(out)["p"] == ["2/3", "1/3", "1/3", "2/3"]
 
 
-def test_sweep_csv(capsys, p4_file):
+def test_sweep_csv(capsys, p4_file, tmp_path):
     code, out, _ = run(capsys, ["sweep", p4_file, "--thetas", "1,10,100"])
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "theta,p_0,p_1,p_2,p_3"
     assert len(lines) == 4
+    # no vertices: one column, header included
+    empty = tmp_path / "empty.edges"
+    empty.write_text("0 0\n")
+    code, out, _ = run(capsys, ["sweep", str(empty), "--thetas", "1,10"])
+    assert (code, out) == (0, "theta\n1\n10\n")
 
 
 def test_starvation_exit_codes(capsys, p5_file, p4_file, tmp_path):
@@ -208,6 +213,14 @@ def test_unitdisk_and_verify(capsys, tmp_path):
         "--out", out_path, "--layout", layout_path,
     ])
     assert code == 0
+    # one file for both outputs: the layout would overwrite the graph
+    same = tmp_path / "same.edges"
+    code, out, err = run(capsys, [
+        "unitdisk", str(src), "--embedding", str(emb),
+        "--out", str(same), "--layout", f"{tmp_path}/./same.edges",
+    ])
+    assert (code, out) == (2, "") and "same file" in err
+    assert not same.exists()
 
 
 def test_input_errors_exit_2(capsys, tmp_path, p4_file):
@@ -228,6 +241,9 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     assert code == 2 and out == "" and "zero denominator" in err
     code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1,1/0"])
     assert code == 2 and out == "" and "zero denominator" in err
+    # refused at once, not after building 10**100000000 for digits Python cannot print
+    code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1", "--precision", "100000000"])
+    assert code == 2 and out == "" and "precision" in err
 
 
 def _formula(names, legs) -> str:
@@ -261,6 +277,10 @@ def _two_edges_embedding(**vertex_3) -> str:
     pytest.param("reduce-3sat", _formula(_ABC, 3), id="formula-legs-int"),
     pytest.param("reduce-3sat", json.dumps({"variables": [{"name": "a", "x": "1/0"}],
                                             "clauses": []}), id="formula-x-zero-denominator"),
+    # refused as input errors, not a TypeError from Fraction()
+    *(pytest.param("reduce-3sat", json.dumps({"variables": [{"name": "a", "x": x}],
+                                              "clauses": []}), id=f"formula-x-{name}")
+      for name, x in (("null", None), ("list", [1]), ("bool", True))),
     # read at once, not after building 10**99999999
     pytest.param("reduce-3sat", json.dumps({"variables": [{"name": "a", "x": "1e99999999"}],
                                             "clauses": []}), id="formula-x-huge-exponent"),

@@ -113,6 +113,15 @@ def test_parse_reads_coordinates_exactly():
     (clause,) = f.clauses
     assert clause.y == Fraction(1, 2)
     assert [leg.x for leg in clause.legs] == [Fraction(5, 4), Fraction(3, 2), Fraction(4)]
+    # as a binary float this leg is 2.0, on the edge of a's zone; read exactly
+    # it lies inside, as a number and as a string alike
+    text = doc([("a", 0), ("b", 4), ("c", 8)],
+               [("+", 1, [("a", "1.99999999999999999"), ("b", 5), ("c", None)])])
+    (g, cert), (g_num, cert_num) = (
+        build_g_phi(parse_pmr3sat(t))
+        for t in (text, text.replace('"1.99999999999999999"', "1.99999999999999999")))
+    assert serialize_graph(g_num) == serialize_graph(g)
+    assert cert_num.to_json_dict() == cert.to_json_dict()
 
 
 def test_parse_repeated_variable_counts_appearances():

@@ -196,6 +196,8 @@ def test_parsers_reject_wrong_structure():
                  '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [5]}]}',
                  # inexact numbers: int() would truncate, overflow or read True as 1
                  '{"vertices": [{"id": 0, "x": 2.7, "y": "3"}], "edges": []}',
+                 # a binary float would read this as 2
+                 '{"vertices": [{"id": 0, "x": 2.0000000000000001, "y": 0}], "edges": []}',
                  '{"vertices": [{"id": 0, "x": Infinity, "y": 0}], "edges": []}',
                  '{"vertices": [{"id": 0, "x": 0, "y": NaN}], "edges": []}',
                  '{"vertices": [{"id": 1.5, "x": 0, "y": 0}], "edges": []}',
