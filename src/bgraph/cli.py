@@ -234,7 +234,7 @@ def _cmd_unitdisk(args) -> int:
 def _cmd_verify_disks(args) -> int:
     layout = parse_layout(_read(args.layout))
     realized = intersection_graph(layout)
-    match = realized.n == args.graph.n and realized.edges() == args.graph.edges()
+    match = realized.adj == args.graph.adj
     _emit({"match": match})
     return EXIT_OK if match else EXIT_NO
 

@@ -38,7 +38,10 @@ from .unitdisk import _exact_decimal
 def parse_theta(text: str) -> Fraction:
     """Accept "20", "5/2", "2.5"; must be positive, with a decimal exponent
     of at most unitdisk._MAX_EXPONENT in size."""
-    theta = _exact_decimal(text)
+    try:
+        theta = _exact_decimal(text)
+    except ValueError as exc:
+        raise ValueError(f"theta: {exc}") from None
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {text}")
     return theta

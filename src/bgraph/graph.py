@@ -4,6 +4,16 @@ Vertices are 0..n-1.  Adjacency is stored as one int bitmask per vertex,
 which keeps the set-intersection-heavy algorithms downstream cheap.
 Optional string labels carry provenance through graph constructions
 (e.g. "pendant:3", "gjs0:x'").
+
+Each invariant is checked once, where it can break.  The public constructor
+Graph(n, adj, labels) takes rows from its caller, so it checks them all:
+row and label counts equal n, named labels are distinct, and each row is
+inside 0..n-1, loop-free and symmetric.  The builders make rows that are
+symmetric, loop-free and in range by construction: Graph.from_edges checks
+each endpoint and refuses self-loops before it sets both bits, and
+induced_subgraph and disjoint_union restrict or shift the rows of checked
+graphs.  They build through _built, which runs only the count and label
+checks.
 """
 
 from __future__ import annotations
@@ -34,13 +44,7 @@ class Graph:
     labels: tuple[str | None, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            object.__setattr__(self, "labels", (None,) * self.n)
-        if len(self.adj) != self.n or len(self.labels) != self.n:
-            raise ValueError("adjacency/label length does not match n")
-        named = [x for x in self.labels if x is not None]
-        if len(named) != len(set(named)):
-            raise ValueError("duplicate vertex labels")
+        self._check_counts_and_labels()
         for v, row in enumerate(self.adj):
             if row >> self.n:
                 raise ValueError(f"adjacency of {v} references vertex >= n")
@@ -50,6 +54,17 @@ class Graph:
             for u in _bits(self.adj[v]):
                 if not self.adj[u] & (1 << v):
                     raise ValueError(f"adjacency not symmetric at ({u},{v})")
+
+    def _check_counts_and_labels(self) -> None:
+        """Default the labels to all None; refuse row or label counts other
+        than n and a label named twice."""
+        if not self.labels:
+            object.__setattr__(self, "labels", (None,) * self.n)
+        if len(self.adj) != self.n or len(self.labels) != self.n:
+            raise ValueError("adjacency/label length does not match n")
+        named = [x for x in self.labels if x is not None]
+        if len(named) != len(set(named)):
+            raise ValueError("duplicate vertex labels")
 
     @staticmethod
     def from_edges(
@@ -74,7 +89,7 @@ class Graph:
                     raise ValueError(f"label for out-of-range vertex {v}")
                 row[v] = name
             lab = tuple(row)
-        return Graph(n, tuple(adj), lab)
+        return _built(n, tuple(adj), lab)
 
     # -- elementary accessors -------------------------------------------------
 
@@ -98,10 +113,10 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def label_of(self, v: int) -> str | None:
         return self.labels[v]
@@ -111,6 +126,17 @@ class Graph:
             if lab == name:
                 return v
         raise KeyError(name)
+
+
+def _built(n: int, adj: tuple[int, ...], labels: tuple[str | None, ...]) -> Graph:
+    """A Graph on rows a builder made symmetric, loop-free and inside
+    0..n-1; only the count and label checks run."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    object.__setattr__(g, "labels", labels)
+    g._check_counts_and_labels()
+    return g
 
 
 def parse_graph(text: str) -> Graph:
@@ -214,7 +240,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             row |= 1 << idmap[u]
         adj.append(row)
     labels = tuple(g.labels[old] for old in keep)
-    return Graph(len(keep), tuple(adj), labels), idmap
+    return _built(len(keep), tuple(adj), labels), idmap
 
 
 def non_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
@@ -372,4 +398,4 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
         labels.append(None if lab in taken else lab)
         if lab is not None:
             taken.add(lab)
-    return Graph(a.n + b.n, tuple(adj), tuple(labels))
+    return _built(a.n + b.n, tuple(adj), tuple(labels))

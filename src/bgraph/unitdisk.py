@@ -14,6 +14,7 @@ intersection graph is computed without epsilon ambiguity.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +86,7 @@ def _exact_decimal(text: str) -> Fraction:
         raise ValueError(f"not a decimal or p/q number: {text!r}") from None
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-    raise ValueError("point and formula coordinates and theta values need exponents "
+    raise ValueError("numbers in floating-point notation need exponents "
                      f"within {_MAX_EXPONENT}, got {text!r}")
 
 
@@ -137,12 +138,13 @@ def parse_embedding(text: str) -> OrthogonalEmbedding:
             key = (min(u, v), max(u, v))
             if key in polylines:
                 raise EmbeddingError(f"edge {key} listed twice")
-            bends = tuple((_int_field(x, "bend coordinate"),
-                           _int_field(y, "bend coordinate"))
-                          for x, y in row.get("bends", ()))
-            if u > v:
-                bends = tuple(reversed(bends))
-            polylines[key] = bends
+            bends = []
+            for bend in row.get("bends", ()):
+                if not (isinstance(bend, list) and len(bend) == 2):
+                    raise EmbeddingError(f"edge ({u},{v}) has a bend that is not an [x, y] "
+                                         f"pair: {_shown(bend)}")
+                bends.append(tuple(_int_field(c, "bend coordinate") for c in bend))
+            polylines[key] = tuple(reversed(bends) if u > v else bends)
     except TypeError:
         raise EmbeddingError("ids, coordinates and bend points must be integers") from None
     return OrthogonalEmbedding(coords, polylines)
@@ -324,14 +326,20 @@ _LATER_CELLS = ((0, 1), (1, -1), (1, 0), (1, 1))
 def intersection_graph(layout: DiskLayout) -> Graph:
     """Edge iff squared center distance <= 4 (radius-1 disks, tangency in).
 
-    Centers are bucketed into 2x2 cells keyed by the exact floors
-    (x // 2, y // 2); centers at distance <= 2 lie in the same or adjacent
-    cells, so only those pairs are tested.
+    Every center is scaled by the lcm L of the coordinate denominators, so
+    the test (dx)^2 + (dy)^2 <= 4 L^2 runs exactly in ints.  Centers are
+    bucketed into 2x2 cells keyed by the exact floors (x // 2, y // 2),
+    computed as X // 2L on the scaled ints; centers at distance <= 2 lie in
+    the same or adjacent cells, so only those pairs are tested.
     """
-    points = layout.points
+    scale = math.lcm(*(c.denominator for point in layout.points.values() for c in point))
+    points = {v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+              for v, (x, y) in layout.points.items()}
+    side = 2 * scale
+    reach = side * side
     cells: dict[tuple[int, int], list[int]] = {}
     for v, (x, y) in points.items():
-        cells.setdefault((x // 2, y // 2), []).append(v)
+        cells.setdefault((x // side, y // side), []).append(v)
     edges = []
     for (cx, cy), here in cells.items():
         near = [v for dx, dy in _LATER_CELLS for v in cells.get((cx + dx, cy + dy), ())]
@@ -339,6 +347,6 @@ def intersection_graph(layout: DiskLayout) -> Graph:
             ux, uy = points[u]
             for v in chain(here[i + 1:], near):
                 vx, vy = points[v]
-                if (ux - vx) ** 2 + (uy - vy) ** 2 <= 4:
+                if (ux - vx) ** 2 + (uy - vy) ** 2 <= reach:
                     edges.append((u, v))
     return Graph.from_edges(len(points), edges)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from hypothesis import strategies as st
 
 from bgraph.graph import Graph
+from bgraph.unitdisk import DiskLayout
 
 
 def _bits(mask: int):
@@ -279,3 +280,26 @@ def fraction_decimal(x: Fraction, precision: int) -> str:
         whole += 1
     digits = f"{whole:0{precision + 1}d}"
     return digits if precision == 0 else f"{digits[:-precision]}.{digits[-precision:]}"
+
+
+# Rational reference for unitdisk.intersection_graph: the same 2x2 cell
+# buckets, with the floors and distance tests taken on the Fraction centers
+# instead of on ints scaled by the lcm of the denominators.
+_LATER_CELLS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def fraction_intersection_graph(layout: DiskLayout) -> Graph:
+    points = layout.points
+    cells: dict[tuple[int, int], list[int]] = {}
+    for v, (x, y) in points.items():
+        cells.setdefault((x // 2, y // 2), []).append(v)
+    edges = []
+    for (cx, cy), here in cells.items():
+        near = [v for dx, dy in _LATER_CELLS for v in cells.get((cx + dx, cy + dy), ())]
+        for i, u in enumerate(here):
+            ux, uy = points[u]
+            for v in chain(here[i + 1:], near):
+                vx, vy = points[v]
+                if (ux - vx) ** 2 + (uy - vy) ** 2 <= 4:
+                    edges.append((u, v))
+    return Graph.from_edges(len(points), edges)

@@ -295,6 +295,12 @@ def _two_edges_embedding(**vertex_3) -> str:
         {"id": 0, "x": None, "y": 0}, {"id": 1, "x": 4, "y": 0}]}), id="embedding-x-null"),
     pytest.param("unitdisk", json.dumps({**_K2_EMBEDDING, "edges": [
         {"u": 0, "v": 1, "bends": 7}]}), id="embedding-bends-int"),
+    pytest.param("unitdisk", json.dumps({**_K2_EMBEDDING, "edges": [
+        {"u": 0, "v": 1, "bends": [[4, 0, 1]]}]}), id="embedding-bend-three-coordinates"),
+    pytest.param("unitdisk", json.dumps({**_K2_EMBEDDING, "edges": [
+        {"u": 0, "v": 1, "bends": [[4]]}]}), id="embedding-bend-one-coordinate"),
+    pytest.param("unitdisk", '{"vertices": [{"id": 0, "x": 4e2000, "y": 0}], "edges": []}',
+                 id="embedding-x-huge-exponent"),
     # int() would overflow, truncate or read True as 1 on these fields
     pytest.param("unitdisk", _two_edges_embedding(x=float("inf")), id="embedding-x-infinity"),
     pytest.param("unitdisk", _two_edges_embedding(x=4.5), id="embedding-x-fraction"),
@@ -317,6 +323,8 @@ def _two_edges_embedding(**vertex_3) -> str:
     pytest.param("replace-crossings", json.dumps([{"through": 5, "crossed": []}]),
                  id="specs-through-int"),
     pytest.param("replace-crossings", "{}", id="specs-object"),
+    pytest.param("replace-crossings", '[{"through": [1e2000, 1], "crossed": []}]',
+                 id="specs-id-huge-exponent"),
     pytest.param("replace-crossings", json.dumps([{"through": [0, 1], "crossed": [[8, 9]]}]),
                  id="specs-vertex-out-of-range"),
 ])

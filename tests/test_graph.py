@@ -10,6 +10,7 @@ from bgraph.graph import (
     Graph,
     GraphParseError,
     degeneracy_order,
+    disjoint_union,
     induced_subgraph,
     is_independent,
     non_neighborhood,
@@ -199,3 +200,36 @@ def test_self_loop_rejected_in_constructor():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [], labels={0: "a", 1: "a"})
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph(2, (0, 0), ("a", "a"))
+
+
+# rows the builders never make: the public constructor is the one place that
+# takes rows from its caller, so it alone checks them
+@pytest.mark.parametrize("n, adj, message", [
+    (2, (0b10, 0b00), "not symmetric"),
+    (3, (0b010, 0b101, 0b000), "not symmetric"),
+    (2, (0b01, 0b00), "self-loop at 0"),
+    (2, (0b100, 0b000), "vertex >= n"),
+    (2, (-1, 0), "vertex >= n"),
+    (2, (0,), "length"),
+    (1, (0, 0), "length"),
+])
+def test_constructor_rejects_bad_rows(n, adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, adj)
+    with pytest.raises(ValueError, match="length"):
+        Graph(len(adj), adj, (None,) * (len(adj) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graph(max_n=8), labelled_graph(max_n=8), graph_and_mask())
+def test_builders_make_graphs_the_full_check_accepts(a, b, case):
+    # from_edges, induced_subgraph and disjoint_union skip the row walk of
+    # Graph(n, adj, labels); each result must pass it unchanged
+    g, alive = case
+    keep = [v for v in range(g.n) if alive >> v & 1]
+    built = [a, b, g, induced_subgraph(g, keep)[0], induced_subgraph(a, range(0, a.n, 2))[0],
+             disjoint_union(a, b), disjoint_union(b, g)]
+    for h in built:
+        assert Graph(h.n, h.adj, h.labels) == h

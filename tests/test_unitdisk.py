@@ -20,7 +20,7 @@ from bgraph.unitdisk import (
     to_unit_disk,
     validate_embedding,
 )
-from helpers_brute import path_graph
+from helpers_brute import fraction_intersection_graph, path_graph
 
 
 def square_c4():
@@ -70,6 +70,10 @@ def test_intersection_graph_basics():
         }
     )
     assert intersection_graph(three).edges() == [(0, 1), (1, 2)]
+    for points in ({}, {0: (Fraction(-7, 3), Fraction(5, 6))}):
+        layout = DiskLayout(points)
+        assert intersection_graph(layout) == fraction_intersection_graph(layout)
+        assert intersection_graph(layout) == Graph.from_edges(len(points), [])
 
 
 # exact tangency (distance 2) in several directions, and pairs just inside
@@ -77,7 +81,7 @@ def test_intersection_graph_basics():
 _OFFSETS = [(2, 0), (-2, 0), (0, 2), (0, -2), (Fraction(6, 5), Fraction(8, 5)),
             (Fraction(-8, 5), Fraction(6, 5)), (Fraction(6, 5), Fraction(-8, 5)),
             (1, 1), (Fraction(7, 6), Fraction(-3, 2)), (2, Fraction(1, 7))]
-_COORD = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 6, 7]))
+_COORD = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 7))
 
 
 @st.composite
@@ -101,6 +105,9 @@ def test_intersection_graph_matches_all_pairs(layout):
                 if (p[u][0] - p[v][0]) ** 2 + (p[u][1] - p[v][1]) ** 2 <= 4]
     realized = intersection_graph(layout)
     assert (realized.n, realized.edges()) == (layout.n, expected)
+    # the int test on centers scaled by the lcm of the denominators against
+    # the Fraction test it replaced
+    assert realized == fraction_intersection_graph(layout)
 
 
 def _roundtrip(g, emb):
@@ -194,6 +201,9 @@ def test_parsers_reject_wrong_structure():
     for text in ("[]", '{"vertices": 3, "edges": []}',
                  '{"vertices": [{"id": 0, "x": null, "y": 0}], "edges": []}',
                  '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [5]}]}',
+                 # a bend that is not an [x, y] pair
+                 '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [[4, 0, 1]]}]}',
+                 '{"vertices": [], "edges": [{"u": 0, "v": 1, "bends": [[4]]}]}',
                  # inexact numbers: int() would truncate, overflow or read True as 1
                  '{"vertices": [{"id": 0, "x": 2.7, "y": "3"}], "edges": []}',
                  # a binary float would read this as 2
