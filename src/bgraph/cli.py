@@ -38,6 +38,7 @@ from .transforms import (
 from .unitdisk import (
     DiskLayout,
     _document,
+    _field,
     _objects,
     _shown,
     intersection_graph,
@@ -167,10 +168,11 @@ def _parse_specs(text: str) -> list[CrossingSpec]:
 
     specs = []
     for entry in _objects(_document(text), "crossing specs", ValueError):
-        crossed = entry["crossed"]
+        through = _field(entry, "through", "crossing spec", ValueError)
+        crossed = _field(entry, "crossed", "crossing spec", ValueError)
         if not isinstance(crossed, list):
             raise ValueError(f"'crossed' must be a list of edges, got {_shown(crossed)}")
-        specs.append(CrossingSpec(edge(entry["through"]), tuple(edge(e) for e in crossed)))
+        specs.append(CrossingSpec(edge(through), tuple(edge(e) for e in crossed)))
     return specs
 
 
@@ -343,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError) as exc:  # bgraph's input errors subclass ValueError
+    except (ValueError, OSError) as exc:  # bgraph's input errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

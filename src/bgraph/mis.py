@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .graph import (
@@ -41,12 +42,14 @@ class _Budget:
     __slots__ = ("remaining",)
 
     def __init__(self, cap: int | None):
+        if cap is not None and cap < 0:
+            raise ValueError("budget must be non-negative")
         self.remaining = cap
 
-    def spend(self) -> None:
+    def spend(self, nodes: int = 1) -> None:
         if self.remaining is None:
             return
-        self.remaining -= 1
+        self.remaining -= nodes
         if self.remaining < 0:
             raise BudgetExceededError("search-node budget exceeded")
 
@@ -443,17 +446,26 @@ def _independent_subsets(adj: Sequence[int], mask: int, cap: int) -> list[int] |
     return subsets
 
 
-def _leave_one_out(factors: list[int]) -> tuple[int, list[int]]:
-    """(product of factors, [product of all factors but factors[j]])."""
-    prefix = [1]
-    for f in factors:
-        prefix.append(prefix[-1] * f)
-    others = [0] * len(factors)
-    suffix = 1
-    for j in range(len(factors) - 1, -1, -1):
-        others[j] = prefix[j] * suffix
-        suffix *= factors[j]
-    return prefix[-1], others
+def _leave_one_out(weights: list[int], factors: list[list[int]]) -> list[list[int]]:
+    """others[j][i] = weights[i] times factors[l][i] for every row l but j.
+    Whole rows are multiplied at a time, as prefix and suffix products, so
+    nothing is divided."""
+    # prefix[j]: the weights times rows 0..j-1
+    prefix = [weights]
+    for row in factors[:-1]:
+        prefix.append(list(map(mul, prefix[-1], row)))
+    others = prefix[:len(factors)]
+    suffix = None  # rows j..k-1
+    for j in range(len(factors) - 1, 0, -1):
+        suffix = factors[j] if suffix is None else list(map(mul, factors[j], suffix))
+        others[j - 1] = list(map(mul, prefix[j - 1], suffix))
+    return others
+
+
+# Cases that a vertex with several children multiplies out at once: its
+# leave-one-out rows then hold at most this many new polynomials each, so
+# the downward sweep needs little memory beyond its tables.
+_CASES = 64
 
 
 def _unpack(packed: int, shift: int) -> tuple[int, ...]:
@@ -475,9 +487,20 @@ class _Elimination:
     the empty set is I(G[alive]).  The downward table of v maps T to the
     polynomial of the independent sets J outside v's subtree with J meeting
     the separator in exactly T; a root's is the product of the other
-    roots' polynomials.  Summing over T the downward table times v's own
-    term with v taken gives x * I(G[alive] - N[v]) for every v in the two
-    sweeps.  One budget node is spent per table entry.
+    roots' polynomials.  Summing over T the downward table times the
+    children's upward entries with v taken gives I(G[alive] - N[v]) for
+    every v in the two sweeps.  The budget is charged once per table, one
+    node per entry, before the table is filled.
+
+    Each vertex's tables are filled by a loop chosen by its number of
+    children, and most vertices have at most one.  A leaf's upward entry
+    is 1 or 1 + x, and its downward pass only sums its table over the keys
+    that v may join.  A one-child vertex reads the child's table once or
+    twice per key, and hands each downward entry to the child unchanged
+    or times x.  A vertex with two or more children, like the set of
+    roots, multiplies whole rows of its children's entries in
+    _leave_one_out, _CASES entries at a time.  Every loop uses only the
+    packed ring's product, its sum and the shift that multiplies by x.
 
     A polynomial is packed into one int as its value at x = 2**shift with
     shift = |alive| + 1 (Kronecker substitution), so a product of
@@ -508,47 +531,90 @@ class _Elimination:
         """Fill every upward table and return I(G[alive]), packed; with
         keep False each table is dropped once its parent has read it."""
         adj, up, shift, spend = self.adj, self.up, self.shift, self.budget.spend
+        free = 1 + (1 << shift)  # a leaf's entry when v may join: 1 + x
         for v, _, keys in self.order:
-            vbit = 1 << v
+            spend(len(keys))
+            row, vbit = adj[v], 1 << v
             kids = [(self.sep[c], up[c] if keep else up.pop(c)) for c in self.children[v]]
-            table = {}
-            for t in keys:
-                spend()
-                out = prod(up_c[t & sep_c] for sep_c, up_c in kids)
-                if not adj[v] & t:
-                    taken = t | vbit
-                    out += prod(up_c[taken & sep_c] for sep_c, up_c in kids) << shift
-                table[t] = out
+            if not kids:
+                table = {t: 1 if row & t else free for t in keys}
+            elif len(kids) == 1:
+                [(s, up_c)] = kids
+                table = {t: up_c[t & s] if row & t
+                         else up_c[t & s] + (up_c[(t | vbit) & s] << shift) for t in keys}
+            else:
+                table = {}
+                for t in keys:
+                    out = 1
+                    for s, up_c in kids:
+                        out *= up_c[t & s]
+                    if not row & t:
+                        taken = t | vbit
+                        with_v = 1
+                        for s, up_c in kids:
+                            with_v *= up_c[taken & s]
+                        out += with_v << shift
+                    table[t] = out
             up[v] = table
         return prod(up[r][0] for r in self.roots)
 
     def downward(self) -> Iterator[tuple[int, int]]:
-        """Yield (v, x * I(G[alive] - N[v]) packed) for every alive v; needs
-        the upward tables kept."""
+        """Yield (v, I(G[alive] - N[v]) packed) for every alive v; needs the
+        upward tables kept."""
         adj, up, shift, spend = self.adj, self.up, self.shift, self.budget.spend
-        _, rest = _leave_one_out([up[r][0] for r in self.roots])
-        down = {r: {0: part} for r, part in zip(self.roots, rest)}
+        rest = _leave_one_out([1], [[up[r][0]] for r in self.roots])
+        down = {r: {0: part} for r, [part] in zip(self.roots, rest)}
         for v, _, _ in reversed(self.order):
-            vbit = 1 << v
+            table = down.pop(v)
+            spend(len(table))
+            row, vbit = adj[v], 1 << v
             kids = self.children[v]
-            seps = [self.sep[c] for c in kids]
-            tables = [up.pop(c) for c in kids]
-            into: list[dict[int, int]] = [{} for _ in kids]
-            acc = 0
-            for t, base in down.pop(v).items():
-                spend()
-                cases = [(t, base)]
-                if not adj[v] & t:
-                    cases.append((t | vbit, base << shift))
-                for a, weight in cases:
-                    whole, others = _leave_one_out(
-                        [table[a & s] for table, s in zip(tables, seps)])
-                    for j, s in enumerate(seps):
-                        key = a & s
-                        into[j][key] = into[j].get(key, 0) + weight * others[j]
-                    if a & vbit:
-                        acc += weight * whole
-            down.update(zip(kids, into))
+            if not kids:
+                acc = sum(base for t, base in table.items() if not row & t)
+            elif len(kids) == 1:
+                [c] = kids
+                s, up_c = self.sep[c], up.pop(c)
+                acc = 0
+                into: dict[int, int] = {}
+                for t, base in table.items():
+                    key = t & s
+                    into[key] = into.get(key, 0) + base
+                    if not row & t:
+                        key = (t | vbit) & s
+                        into[key] = into.get(key, 0) + (base << shift)
+                        acc += base * up_c[key]
+                down[c] = into
+            else:
+                # _CASES of v's cases at a time, one child at a time: each key
+                # without v, then with v where v is free, weighted by the
+                # key's entry; v lies in every child's separator, so the
+                # child's keys that hold v take their factor x at the end
+                seps = [self.sep[c] for c in kids]
+                tables = [up.pop(c) for c in kids]
+                intos: list[dict[int, int]] = [{} for _ in kids]
+                acc = 0
+                items = list(table.items())
+                for start in range(0, len(items), _CASES):
+                    subsets, weights = [], []
+                    for t, base in items[start:start + _CASES]:
+                        subsets.append(t)
+                        weights.append(base)
+                        if not row & t:
+                            subsets.append(t | vbit)
+                            weights.append(base)
+                    factors = [[tab[a & s] for a in subsets] for tab, s in zip(tables, seps)]
+                    others = _leave_one_out(weights, factors)
+                    acc += sum(p * f for a, p, f in zip(subsets, others[-1], factors[-1])
+                               if a & vbit)
+                    for into, s, parts in zip(intos, seps, others):
+                        for a, part in zip(subsets, parts):
+                            key = a & s
+                            into[key] = into.get(key, 0) + part
+                for c, into in zip(kids, intos):
+                    for key in into:
+                        if key & vbit:
+                            into[key] <<= shift
+                    down[c] = into
             yield v, acc
 
 
@@ -609,17 +675,17 @@ def _packed_polynomials(
     Eliminates along a min-degree order when its tables hold at most
     _ENGINE_ENTRIES entries, and recurses on one vertex-mask memo
     otherwise."""
+    nodes = _Budget(budget)
     shift = alive.bit_count() + 1
     order = _elimination_order(g, alive)
     if order is None:
-        memo = _PolynomialMemo(g, shift, _Budget(budget))
+        memo = _PolynomialMemo(g, shift, nodes)
         whole = memo.poly(alive)
         rest = _bits(alive) if neighborhoods else ()
         return shift, whole, {v: memo.poly(alive & ~(g.adj[v] | 1 << v)) for v in rest}
-    engine = _Elimination(g, shift, order, _Budget(budget))
+    engine = _Elimination(g, shift, order, nodes)
     whole = engine.upward(neighborhoods)
-    taken = engine.downward() if neighborhoods else ()
-    return shift, whole, {v: part >> shift for v, part in taken}
+    return shift, whole, dict(engine.downward() if neighborhoods else ())
 
 
 def independence_polynomial(

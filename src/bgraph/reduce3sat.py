@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .graph import Graph
 from .transforms import TransformCertificate, _splice_gadgets, t3_degree_reduce
-from .unitdisk import _document, _objects, _rational_field
+from .unitdisk import _document, _field, _objects, _rational_field
 
 
 class FormulaError(ValueError):
@@ -95,8 +95,8 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
     names: list[str] = []
     xs: list[Fraction] = []
     for row in _objects(data.get("variables", []), "variables", FormulaError):
-        names.append(str(row["name"]))
-        xs.append(_rational_field(row["x"]))
+        names.append(str(_field(row, "name", "variable", FormulaError)))
+        xs.append(_rational_field(_field(row, "x", "variable", FormulaError)))
     if not names:
         raise FormulaError("no variables")
     if len(set(names)) != len(names):
@@ -118,7 +118,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
         if sign not in ("+", "-"):
             raise FormulaError(f"clause {cnum}: sign must be '+' or '-'")
         positive = sign == "+"
-        y = _rational_field(row["y"])
+        y = _rational_field(_field(row, "y", f"clause {cnum}", FormulaError))
         if y == 0 or (y > 0) != positive:
             raise FormulaError(
                 f"clause {cnum}: y-level {y} inconsistent with sign {sign}"
@@ -131,7 +131,7 @@ def parse_pmr3sat(text: str) -> RectilinearFormula:
             lsign = leg.get("sign")
             if lsign is not None and lsign != sign:
                 raise FormulaError(f"clause {cnum}: non-monotone (mixed literal signs)")
-            name = str(leg["var"])
+            name = str(_field(leg, "var", f"clause {cnum} leg", FormulaError))
             if name not in index:
                 raise FormulaError(f"clause {cnum}: unknown variable {name!r}")
             i = index[name]

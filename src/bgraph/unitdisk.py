@@ -107,6 +107,15 @@ def _objects(value, what: str, error: type[ValueError]) -> list[dict]:
     return value
 
 
+def _field(row: dict, key: str, what: str, error: type[ValueError]):
+    """row[key] of one of _objects' rows; error, naming the row and the
+    key, when the row has no such field."""
+    try:
+        return row[key]
+    except KeyError:
+        raise error(f"{what} {_shown(row)} has no field {key!r}") from None
+
+
 def _rational_field(value) -> Fraction:
     """A coordinate read from a _document, as an exact rational.  Only finite
     numbers and decimal or "p/q" strings are read; booleans, too, are refused."""
@@ -125,28 +134,33 @@ def parse_embedding(text: str) -> OrthogonalEmbedding:
                  EmbeddingError)
     coords: dict[int, Point] = {}
     polylines: dict[tuple[int, int], tuple[Point, ...]] = {}
-    try:
-        for row in data["vertices"]:
-            v = _int_field(row["id"], "vertex id")
-            if v in coords:
-                raise EmbeddingError(f"vertex {v} listed twice")
-            coords[v] = (_int_field(row["x"], "coordinate"),
-                         _int_field(row["y"], "coordinate"))
-        for row in data["edges"]:
-            u = _int_field(row["u"], "edge endpoint")
-            v = _int_field(row["v"], "edge endpoint")
-            key = (min(u, v), max(u, v))
-            if key in polylines:
-                raise EmbeddingError(f"edge {key} listed twice")
-            bends = []
-            for bend in row.get("bends", ()):
-                if not (isinstance(bend, list) and len(bend) == 2):
-                    raise EmbeddingError(f"edge ({u},{v}) has a bend that is not an [x, y] "
-                                         f"pair: {_shown(bend)}")
-                bends.append(tuple(_int_field(c, "bend coordinate") for c in bend))
-            polylines[key] = tuple(reversed(bends) if u > v else bends)
-    except TypeError:
-        raise EmbeddingError("ids, coordinates and bend points must be integers") from None
+
+    def int_field(row: dict, key: str, what: str, kind: str) -> int:
+        return _int_field(_field(row, key, what, EmbeddingError), kind)
+
+    for row in data["vertices"]:
+        v = int_field(row, "id", "embedding vertex", "vertex id")
+        if v in coords:
+            raise EmbeddingError(f"vertex {v} listed twice")
+        coords[v] = (int_field(row, "x", "embedding vertex", "coordinate"),
+                     int_field(row, "y", "embedding vertex", "coordinate"))
+    for row in data["edges"]:
+        u = int_field(row, "u", "embedding edge", "edge endpoint")
+        v = int_field(row, "v", "embedding edge", "edge endpoint")
+        key = (min(u, v), max(u, v))
+        if key in polylines:
+            raise EmbeddingError(f"edge {key} listed twice")
+        bends = row.get("bends", [])
+        if not isinstance(bends, list):
+            raise EmbeddingError(f"edge ({u},{v}) has 'bends' that are not a list of "
+                                 f"[x, y] pairs: {_shown(bends)}")
+        points = []
+        for bend in bends:
+            if not (isinstance(bend, list) and len(bend) == 2):
+                raise EmbeddingError(f"edge ({u},{v}) has a bend that is not an [x, y] "
+                                     f"pair: {_shown(bend)}")
+            points.append(tuple(_int_field(c, "bend coordinate") for c in bend))
+        polylines[key] = tuple(reversed(points) if u > v else points)
     return OrthogonalEmbedding(coords, polylines)
 
 
@@ -183,8 +197,13 @@ def parse_layout(text: str) -> DiskLayout:
     data = _document(text)
     rows = _objects(data.get("points") if isinstance(data, dict) else None, "layout points",
                     ValueError)
-    points = {_int_field(row["id"], "point id", ValueError):
-              (_rational_field(row["x"]), _rational_field(row["y"])) for row in rows}
+
+    def field(row: dict, key: str):
+        return _field(row, key, "layout point", ValueError)
+
+    points = {_int_field(field(row, "id"), "point id", ValueError):
+              (_rational_field(field(row, "x")), _rational_field(field(row, "y")))
+              for row in rows}
     if sorted(points) != list(range(len(points))):
         raise ValueError("layout ids must be dense 0..n-1")
     return DiskLayout(points)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import io
 import json
 import random
@@ -244,6 +245,10 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     # refused at once, not after building 10**100000000 for digits Python cannot print
     code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1", "--precision", "100000000"])
     assert code == 2 and out == "" and "precision" in err
+    # a negative budget is refused, not reported as a search that ran out
+    for argv in (["alpha", p4_file, "--budget", "-3"], ["limit", p4_file, "--budget", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "budget must be non-negative" in err
 
 
 def _formula(names, legs) -> str:
@@ -329,11 +334,17 @@ def _two_edges_embedding(**vertex_3) -> str:
                  id="specs-vertex-out-of-range"),
 ])
 def test_malformed_json_exits_2(capsys, tmp_path, command, text):
+    code, out, err = _run_document(capsys, tmp_path, command, text)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "out.edges").exists()
+
+
+def _run_document(capsys, tmp_path, command, text):
+    """Run command on the graph "4 2 / 0 1 / 2 3" with text as its JSON input."""
     src = tmp_path / "two.edges"
     src.write_text("4 2\n0 1\n2 3\n")
     doc = tmp_path / "input.json"
     doc.write_text(text)
-    out_path = tmp_path / "out.edges"
     argv = {
         "reduce-3sat": [str(doc)],
         "unitdisk": [str(src), "--embedding", str(doc), "--layout", str(tmp_path / "l.json")],
@@ -341,10 +352,45 @@ def test_malformed_json_exits_2(capsys, tmp_path, command, text):
         "replace-crossings": [str(src), "--specs", str(doc)],
     }[command]
     if command != "verify-disks":
-        argv += ["--out", str(out_path)]
-    code, out, err = run(capsys, [command, *argv])
-    assert code == 2 and out == "" and err.startswith("error: ")
-    assert not out_path.exists()
+        argv += ["--out", str(tmp_path / "out.edges")]
+    return run(capsys, [command, *argv])
+
+
+def _dropped(document, *path) -> str:
+    """document as JSON, without the field that path leads to."""
+    document = copy.deepcopy(document)
+    *steps, key = path
+    row = document
+    for step in steps:
+        row = row[step]
+    del row[key]
+    return json.dumps(document)
+
+
+_ABC_FORMULA = json.loads(_formula(_ABC, [{"var": name} for name in _ABC]))
+_LAYOUT = {"points": [{"id": 0, "x": 0, "y": 0}]}
+_SPECS = [{"through": [0, 1], "crossed": [[2, 3]]}]
+
+
+@pytest.mark.parametrize("command, text, where, key", [
+    *(("unitdisk", _dropped(_K2_EMBEDDING, "vertices", 1, key), "embedding vertex", key)
+      for key in ("id", "x", "y")),
+    *(("unitdisk", _dropped(_K2_EMBEDDING, "edges", 0, key), "embedding edge", key)
+      for key in ("u", "v")),
+    *(("verify-disks", _dropped(_LAYOUT, "points", 0, key), "layout point", key)
+      for key in ("id", "x", "y")),
+    *(("reduce-3sat", _dropped(_ABC_FORMULA, "variables", 1, key), "variable", key)
+      for key in ("name", "x")),
+    ("reduce-3sat", _dropped(_ABC_FORMULA, "clauses", 0, "y"), "clause 0", "y"),
+    ("reduce-3sat", _dropped(_ABC_FORMULA, "clauses", 0, "legs", 2, "var"), "clause 0 leg",
+     "var"),
+    *(("replace-crossings", _dropped(_SPECS, 0, key), "crossing spec", key)
+      for key in ("through", "crossed")),
+])
+def test_missing_field_is_named(capsys, tmp_path, command, text, where, key):
+    code, out, err = _run_document(capsys, tmp_path, command, text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where} {{") and f"has no field {key!r}" in err
 
 
 def test_budget_exit_3(capsys, tmp_path, p4_file):
@@ -411,6 +457,19 @@ def test_internal_error_exit_4(capsys, monkeypatch, p5_file):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert "solver crashed" in err
+
+
+def test_internal_key_error_exits_4(capsys, monkeypatch, p5_file):
+    # a missing key of an internal table is a crash, not an input error
+    from bgraph import cli, csma
+
+    def lookup(*args, **kwargs):
+        return {}[0]
+
+    monkeypatch.setattr(csma, "_packed_polynomials", lookup)
+    code, out, err = run(capsys, ["limit", p5_file])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == "" and "KeyError" in err
 
 
 def test_deterministic_output(capsys, p5_file):

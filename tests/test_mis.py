@@ -231,6 +231,15 @@ def test_budget_exceeded_is_raised_not_wrong():
         independence_polynomial(g, budget=3)
 
 
+def test_negative_budget_is_refused():
+    g = empty_graph(0)
+    for solve in (max_independent_set, independence_polynomial, neighborhood_polynomials):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            solve(g, budget=-1)
+    assert max_independent_set(g, budget=1).alpha == 0
+    assert independence_polynomial(g, budget=0).coefficients == (1,)
+
+
 def test_budget_generous_still_exact():
     g = path_graph(9)
     assert max_independent_set(g, budget=10_000).alpha == 5
@@ -310,6 +319,76 @@ def test_engine_on_components_cliques_and_isolated_vertices(monkeypatch):
     full, parts = neighborhood_polynomials(empty_graph(3))
     assert full.coefficients == (1, 3, 3, 1)
     assert all(p.coefficients == (1, 2, 1) for p in parts)
+
+
+def _star(k: int) -> Graph:
+    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """Vertex 0 with legs paths of length vertices hanging from it."""
+    edges = []
+    for leg in range(legs):
+        path = [0] + [1 + leg * length + i for i in range(length)]
+        edges += zip(path, path[1:])
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+def _caterpillar(spine: int, hairs: int) -> Graph:
+    """A spine path whose every vertex carries hairs pendant vertices."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * hairs + j) for i in range(spine) for j in range(hairs)]
+    return Graph.from_edges(spine * (1 + hairs), edges)
+
+
+def _tree_shapes(g: Graph) -> set[str]:
+    """The kinds of vertices in the elimination tree of g's engine order."""
+    order = mis._elimination_order(g, (1 << g.n) - 1)
+    engine = mis._Elimination(g, g.n + 1, order, mis._Budget(None))
+    shapes = {("leaf", "one child", "two children", "three or more children")[min(len(kids), 3)]
+              for kids in engine.children.values()}
+    if len(engine.roots) > 1:
+        shapes.add("several roots")
+    if any(not engine.children[r] for r in engine.roots):
+        shapes.add("isolated vertex")
+    return shapes
+
+
+_SHAPED = [
+    _star(5),
+    _spider(3, 3),
+    _caterpillar(4, 2),
+    disjoint_union(disjoint_union(_star(3), path_graph(3)),
+                   disjoint_union(complete_graph(3), empty_graph(2))),
+    disjoint_union(_spider(4, 2), empty_graph(1)),
+    empty_graph(4),
+]
+
+
+def test_shaped_inputs_reach_every_elimination_tree_shape(monkeypatch):
+    monkeypatch.setattr(mis, "_ENGINE_ENTRIES", ALL)
+    # min-degree eliminates a star's leaves, then its centre below the last leaf
+    assert "three or more children" in _tree_shapes(_star(5))
+    assert set().union(*map(_tree_shapes, _SHAPED)) == {
+        "leaf", "one child", "two children", "three or more children", "several roots",
+        "isolated vertex"}
+
+
+@pytest.mark.parametrize("cases", [1, mis._CASES])
+@pytest.mark.parametrize("g", _SHAPED, ids=["star", "spider", "caterpillar", "forest",
+                                            "spider-and-vertex", "isolated"])
+def test_engine_on_every_elimination_tree_shape(monkeypatch, g, cases):
+    # cases = 1 splits every table of a vertex with several children
+    monkeypatch.setattr(mis, "_ENGINE_ENTRIES", ALL)
+    monkeypatch.setattr(mis, "_CASES", cases)
+    calls = _calls(monkeypatch, mis._PolynomialMemo, "poly")
+    full, parts = neighborhood_polynomials(g)
+    assert not calls
+    assert [full.coefficients] + [p.coefficients for p in parts] == _memo_parts(g)
+    assert list(full.coefficients) == brute_count_by_size(g)
+    for v, part in enumerate(parts):
+        rest = [u for u in range(g.n) if u != v and not g.adj[v] >> u & 1]
+        assert list(part.coefficients) == brute_count_by_size(induced_subgraph(g, rest)[0])
 
 
 def test_independent_subsets_and_their_cap():
