@@ -97,8 +97,8 @@ def throughput_limit(g: Graph, budget: int | None = None) -> LimitVector:
 def starvation_report(g: Graph, budget: int | None = None) -> tuple[int, ...]:
     """Vertices whose airtime share tends to zero: exactly those in no MIS.
 
-    The 1-extendability scan without its best_size diagnostic, which
-    would cost one more solver call per starving vertex."""
+    The 1-extendability scan without best_size, so each query keeps the
+    lower bound alpha - 2 and prunes more than an exact search would."""
     return _report(g, budget, False, False).uncovered()
 
 

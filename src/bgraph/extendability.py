@@ -8,8 +8,9 @@ usually far cheaper than re-solving the whole graph.
 Witnesses are reused: every vertex of a target-size witness found so far
 (the first maximum independent set included) is covered by that witness,
 so only vertices no witness contains are queried.  Each query covers at
-least its own vertex, which caps the queries at n - alpha.  One solver,
-and so one budget, serves every solve of a report.
+least its own vertex, which caps the queries at n - alpha, and is one
+search, which gives best_size when it fails.  One solver, and so one
+budget, serves every solve of a report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, _closed_non_neighborhood
+from .graph import Graph, _closed_non_neighborhood, _lowest
 from .mis import _Solver, _witness_tuple
 
 
@@ -95,28 +96,28 @@ def _scan(
     known is a size-k independent set already in hand (a mask, 0 for
     none).  A vertex inside a witness found so far gets the first such
     witness; only the others are queried, and each successful query's
-    witness covers its members too.
+    witness covers its members too.  With diagnose set, a failed query is
+    searched exactly for best_size; otherwise it prunes below k - 1.
     """
     # witness masks in the order found, each with its tuple form
     found = {known: _witness_tuple(known)}
     covered = known
+    lb = -1 if diagnose else k - 2
     verdicts: list[VertexVerdict] = []
     for v in range(g.n):
         bit = 1 << v
         if not covered & bit:
-            rest = solver.find(_closed_non_neighborhood(g, v), k - 1)
-            if rest is not None:
-                found[rest | bit] = _witness_tuple(rest | bit)
-                covered |= rest | bit
+            size, rest = solver.solve(_closed_non_neighborhood(g, v), k - 1, lb)
+            if size >= k - 1:
+                rest = _lowest(rest, k - 1) | bit
+                found[rest] = _witness_tuple(rest)
+                covered |= rest
         if covered & bit:
             wit = next(t for w, t in found.items() if w & bit)
             verdicts.append(VertexVerdict(v, True, wit, None))
             continue
-        best = None
-        if diagnose:
-            # alpha(G - N(v)) = 1 + alpha(G - N[v]): v is isolated there
-            best = 1 + solver.maximum(_closed_non_neighborhood(g, v)).bit_count()
-        verdicts.append(VertexVerdict(v, False, None, best))
+        # alpha(G - N(v)) = 1 + alpha(G - N[v]): v is isolated there
+        verdicts.append(VertexVerdict(v, False, None, 1 + size if diagnose else None))
         if stop_at_first_uncovered:
             break
     return verdicts
@@ -149,9 +150,10 @@ def is_one_extendable(
     Vertices are scanned in id order.  A vertex that lies in the first
     maximum independent set, or in a witness found for an earlier vertex,
     reuses that witness; only the remaining vertices are queried, so there
-    are at most n - alpha queries.  The budget caps the search nodes of
-    the whole report: the first maximum independent set, every vertex
-    query and every best_size diagnostic share one solver.
+    are at most n - alpha queries.  Each query is one search, which also
+    gives best_size when the vertex is uncovered.  The budget caps the
+    search nodes of the whole report: the first maximum independent set
+    and every vertex query share one solver.
     """
     return _report(g, budget, True, stop_at_first_uncovered)
 

@@ -152,7 +152,6 @@ def parse_graph(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     seen_header = False
-    edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -193,12 +192,16 @@ def parse_graph(text: str) -> Graph:
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop")
         edges.append((u, v))
-        edge_lines += 1
     if not seen_header:
         raise GraphParseError("line 1: empty document")
-    if edge_lines != m:
-        raise GraphParseError(f"header announced {m} edges, found {edge_lines}")
-    return Graph.from_edges(n, edges, labels)
+    if len(edges) != m:
+        raise GraphParseError(f"header announced {m} edges, found {len(edges)}")
+    # nothing of size n is made before every line has passed its checks
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return _built(n, tuple(rows), tuple(map(labels.get, range(n))))
 
 
 def serialize_graph(g: Graph) -> str:

@@ -109,27 +109,23 @@ def oracle_degenerate() -> FriendlyOracle:
 
 
 def find_clique(g: Graph, r: int) -> tuple[int, ...] | None:
-    """Some clique of size r, or None."""
+    """The lexicographically first clique of size r, or None, depth first
+    on an explicit stack: one frame per clique vertex would overflow."""
     if r <= 0:
         return ()
-    hit: list[tuple[int, ...]] = []
-
-    def rec(chosen: tuple[int, ...], cand: int) -> bool:
+    # (clique so far, candidates not yet tried that extend it)
+    stack: list[tuple[tuple[int, ...], int]] = [((), (1 << g.n) - 1)]
+    while stack:
+        chosen, rest = stack.pop()
         if len(chosen) == r:
-            hit.append(chosen)
-            return True
-        if len(chosen) + cand.bit_count() < r:
-            return False
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= ~(1 << v)
-            if rec(chosen + (v,), rest & g.adj[v]):
-                return True
-        return False
-
-    rec((), (1 << g.n) - 1)
-    return hit[0] if hit else None
+            return chosen
+        if len(chosen) + rest.bit_count() < r:
+            continue
+        v = (rest & -rest).bit_length() - 1
+        rest &= ~(1 << v)
+        stack.append((chosen, rest))
+        stack.append((chosen + (v,), rest & g.adj[v]))
+    return None
 
 
 def _ramsey_extract(g: Graph, alive: int, r: int) -> int:

@@ -157,17 +157,13 @@ class _Solver:
 
     def maximum(self, alive: int) -> int:
         """A maximum independent set of G[alive], as a mask."""
-        alpha, wit = self.solve(alive, None, -1)
+        alpha, wit = self.solve(alive, alive.bit_count() + 1, -1)
         assert wit.bit_count() == alpha
         return wit
 
     def find(self, alive: int, k: int) -> int | None:
         """Some size-k independent set of G[alive] as a mask, or None if
         alpha(G[alive]) < k."""
-        if k <= 0:
-            return 0
-        if k > alive.bit_count():
-            return None
         size, wit = self.solve(alive, k, k - 1)
         return _lowest(wit, k) if size >= k else None
 
@@ -257,22 +253,24 @@ class _Solver:
             self.free.append(f)
         return witness
 
-    def solve(self, alive: int, cap: int | None, lb: int):
+    def solve(self, alive: int, cap: int, lb: int):
         """Branch and bound over G[alive].
 
         Contract: when alpha(G[alive]) > lb the return is (alpha, witness),
-        except that with a cap the search may stop early once it can return
-        a set of size >= cap.  Subtrees that cannot beat lb are pruned and
-        report (0, 0); lb carries the best total known anywhere, minus the
-        vertices already committed on this path.
+        except that the search may stop early once it can return a set of
+        size >= cap; a cap above |alive| asks for alpha.  Subtrees that
+        cannot beat lb are pruned and report (0, 0); lb carries the best
+        total known anywhere, minus the vertices already committed on this
+        path.  Two answers spend no search node: (0, 0) when cap <= 0 (the
+        empty set reaches it) or |alive| <= lb (nothing here can beat lb).
         """
-        self.budget.spend()
-        if cap is not None and cap <= 0:
+        if cap <= 0 or alive.bit_count() <= lb:
             return 0, 0
+        self.budget.spend()
         adj = self.adj
         count, picked, folds, alive = self._reduce(alive)
 
-        if not alive or (cap is not None and count >= cap):
+        if not alive or count >= cap:
             return count, self._untranslate(0, picked, folds)
 
         comps = _components(adj, alive)
@@ -286,15 +284,14 @@ class _Solver:
             rest_bound = sum(bounds)
             for i, comp in enumerate(comps):
                 rest_bound -= bounds[i]
-                sub_cap = None if cap is None else cap - total
                 sub_lb = lb - total - rest_bound
-                s, w = self.solve(comp, sub_cap, sub_lb)
+                s, w = self.solve(comp, cap - total, sub_lb)
                 total += s
                 wit |= w
                 if s <= sub_lb:
                     self._untranslate(0, picked, folds)
                     return 0, 0
-                if cap is not None and total >= cap:
+                if total >= cap:
                     break
             return total, self._untranslate(wit, picked, folds)
 
@@ -306,18 +303,16 @@ class _Solver:
         best_v = _max_degree_vertex(adj, clique, alive)
         vbit = 1 << best_v
 
-        in_cap = None if cap is None else cap - count - 1
-        s1, w1 = self.solve(alive & ~(adj[best_v] | vbit), in_cap, lb - count - 1)
+        s1, w1 = self.solve(alive & ~(adj[best_v] | vbit), cap - count - 1, lb - count - 1)
         best = 1 + s1
         best_wit = w1 | vbit
-        if cap is not None and count + best >= cap:
+        if count + best >= cap:
             return count + best, self._untranslate(best_wit, picked, folds)
 
         new_lb = max(lb, count + best)
         rest = alive & ~vbit
         if count + _clique_cover(adj, rest)[0] > new_lb:
-            out_cap = None if cap is None else cap - count
-            s2, w2 = self.solve(rest, out_cap, new_lb - count)
+            s2, w2 = self.solve(rest, cap - count, new_lb - count)
             if s2 > best:
                 best = s2
                 best_wit = w2

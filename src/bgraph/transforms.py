@@ -297,7 +297,9 @@ class GadgetGraph:
 
 
 def gjs_gadget() -> GadgetGraph:
-    """The planar crossover gadget: alpha shifts by exactly 9 per crossing."""
+    """The crossover gadget: alpha shifts by exactly 9 per crossing.  It is
+    planar, but no planar drawing puts x, x', y and y' on one face, so each
+    splice keeps a crossing and G_phi is not planar."""
     labels = {i: _GADGET_ROLES[i] for i in range(_GADGET_N)}
     g = Graph.from_edges(_GADGET_N, list(_GADGET_EDGES), labels)
     return GadgetGraph(g, {name: i for i, name in enumerate(_GADGET_ROLES)})

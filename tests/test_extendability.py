@@ -108,28 +108,38 @@ def test_coverage_and_best_size_match_brute_force():
 
 
 def test_queries_at_most_n_minus_alpha(monkeypatch):
+    # one top-level solve per queried vertex, best_size included, after the
+    # solve of the first maximum independent set
     calls = []
-    real = mis._Solver.find
+    depth = [0]
+    real = mis._Solver.solve
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, *args):
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return real(self, *args)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(mis._Solver, "find", counting)
+    monkeypatch.setattr(mis._Solver, "solve", counting)
     total = 0
     for g in random_graph_suite(seed=27, count=60, max_n=12, min_n=1):
         for stop in (False, True):
             calls.clear()
             rep = is_one_extendable(g, stop_at_first_uncovered=stop)
-            assert len(calls) <= g.n - rep.alpha
-            total += len(calls)
-    assert total > 0  # the vertex queries are the solver's size-k queries
+            queries = len(calls) - 1
+            assert queries <= g.n - rep.alpha
+            total += queries
+    assert total > 0
 
 
 def test_budget_bounds_the_whole_report():
     # every solver call of the P7 report fits in one search node on its
-    # own: the alpha solve, each vertex query and each best_size solve;
-    # the report spends seven nodes, starvation four, the k = 4 scan four
+    # own: the alpha solve and each vertex query, whose failures give
+    # best_size; the report spends four nodes, starvation four, the k = 4
+    # scan four
     g = path_graph(7)
     cap = 1
     max_independent_set(g, budget=cap)
@@ -142,7 +152,9 @@ def test_budget_bounds_the_whole_report():
         starvation_report(g, budget=cap)
     with pytest.raises(BudgetExceededError):
         param_one_extendability(g, 4, budget=cap)
-    assert is_one_extendable(g, budget=7) == is_one_extendable(g)
+    assert is_one_extendable(g, budget=4) == is_one_extendable(g)
+    with pytest.raises(BudgetExceededError):
+        is_one_extendable(g, budget=3)
 
 
 def test_one_solver_and_one_budget_per_request(monkeypatch):

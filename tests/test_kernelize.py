@@ -109,6 +109,13 @@ def test_find_clique():
     assert find_clique(g, 3) == (0, 1, 2)
 
 
+def test_krfree_precheck_finds_a_large_clique():
+    # one stack frame per clique vertex would overflow the Python stack
+    with pytest.raises(CliqueFoundError) as info:
+        oracle_krfree(1050).precheck(complete_graph(1050))
+    assert info.value.clique == tuple(range(1050))
+
+
 def test_krfree_bound_on_random_triangle_free():
     rng = random.Random(73)
     masks = random.Random(173)
