@@ -27,6 +27,11 @@ class GraphParseError(ValueError):
     """Malformed edge-list input; message names the offending line."""
 
 
+# Most vertices an edge-list header may announce: a larger n is refused
+# before anything of size n is allocated.
+_MAX_VERTICES = 1 << 24
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in ascending order."""
     while mask:
@@ -142,10 +147,10 @@ def _built(n: int, adj: tuple[int, ...], labels: tuple[str | None, ...]) -> Grap
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
-    First non-blank line: "n m".  Then m lines "u v".  Lines of the form
-    "# label <v> <name>" attach a label, at most one per vertex; other "#"
-    lines are comments.  Duplicate edges collapse; self-loops and
-    out-of-range ids are errors.
+    First non-blank line: "n m", with n at most 2**24.  Then m lines
+    "u v".  Lines of the form "# label <v> <name>" attach a label, at most
+    one per vertex; other "#" lines are comments.  Duplicate edges
+    collapse; self-loops and out-of-range ids are errors.
     """
     n = -1
     m = -1
@@ -179,6 +184,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: expected header 'n m'") from None
             if n < 0 or m < 0:
                 raise GraphParseError(f"line {lineno}: negative n or m")
+            if n > _MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {lineno}: n = {n} is above the limit of {_MAX_VERTICES} vertices")
             seen_header = True
             continue
         if len(parts) != 2:

@@ -1,9 +1,17 @@
 """Exact maximum-independent-set machinery.
 
 Branch and bound with a greedy clique-cover upper bound, connected-component
-splitting, and exact degree-0/1/2 reductions (including vertex folding).
-Everything is deterministic: ties break toward the lowest vertex id, so
-witnesses are reproducible.
+splitting, and exact degree-0/1/2 and domination reductions (including
+vertex folding).  Everything is deterministic: ties break toward the lowest
+vertex id, so witnesses are reproducible.
+
+Reductions are incremental: each search node is handed the vertices whose
+neighborhood its branch changed (touched), and re-examines only those for
+low degree and only vertices within distance 2 of a change for domination
+(the dependency checking of Hespe, Schulz & Strash, JEA 2019, and of Akiba
+& Iwata, TCS 2016).  Everything it skips is a check that a full pass would
+find unchanged, so takes, folds, witnesses and node counts are those of
+reducing every vertex at every node; _Solver.solve gives the argument.
 
 Independence polynomials come from bucket elimination along a min-degree
 order when its tables are small, and from a vertex-mask memo otherwise.
@@ -176,8 +184,15 @@ class _Solver:
             self.adj.append(row)
         return f
 
-    def _reduce(self, alive: int):
+    def _reduce(self, alive: int, touched: int | None):
         """Apply degree-0/1/2 and domination reductions to fixpoint.
+
+        touched holds the alive vertices whose neighborhood may differ from
+        a fixpoint of these reductions (None: every alive vertex).  Only
+        they are checked for degree <= 2, and the first domination pass
+        checks only vertices within distance 2 of one of them; later
+        passes check only what lies within distance 2 of a change since
+        the pass before.  This is exact, see solve.
 
         Returns (count, picked, folds, alive): count vertices are already
         decided into the solution; picked holds non-fold decisions and fold
@@ -187,16 +202,37 @@ class _Solver:
         count = 0
         picked = 0
         folds: list[tuple[int, int, int, int, int]] = []
-        stack = sorted(_bits(alive), reverse=True)
+        # alive vertices whose closed neighborhood changed since the last
+        # domination pass, or since the fixpoint touched is measured from
+        changed = alive if touched is None else touched & alive
+        # candidates for a take or fold, seeded to pop in ascending order;
+        # a vertex of degree > 2 is pushed again by the change that lowers
+        # its degree, so only vertices of degree <= 2 are pushed
+        stack = []
 
         def drop(mask: int) -> None:
-            nonlocal alive
+            nonlocal alive, changed
             alive &= ~mask
-            touched = 0
-            for x in _bits(mask):
-                touched |= adj[x]
-            stack.extend(_bits(touched & alive))
+            near = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                near |= adj[low.bit_length() - 1]
+            near &= alive
+            changed |= near
+            while near:
+                low = near & -near
+                near ^= low
+                x = low.bit_length() - 1
+                if (adj[x] & alive).bit_count() <= 2:
+                    stack.append(x)
 
+        rest = changed
+        while rest:
+            high = rest.bit_length() - 1
+            rest ^= 1 << high
+            if (adj[high] & alive).bit_count() <= 2:
+                stack.append(high)
         while True:
             while stack:
                 v = stack.pop()
@@ -218,23 +254,58 @@ class _Solver:
                 new_row = (adj[u] | adj[w]) & alive & ~closed
                 alive &= ~closed
                 f = self._alloc(new_row)
-                for t in _bits(new_row):
-                    adj[t] |= 1 << f
-                alive |= 1 << f
+                fbit = 1 << f
+                alive |= fbit
                 count += 1
                 folds.append((f, v, u, w, new_row))
-                stack.append(f)
-                stack.extend(_bits(new_row))
+                changed |= new_row | fbit
+                # push f, then its neighbors in ascending order
+                if new_row.bit_count() <= 2:
+                    stack.append(f)
+                rest = new_row
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    t = low.bit_length() - 1
+                    adj[t] |= fbit
+                    if (adj[t] & alive).bit_count() <= 2:
+                        stack.append(t)
             # domination: drop v when a live neighbor's closed neighborhood
             # is contained in v's (any solution using v swaps to it);
-            # deletions apply one at a time so mutual twins lose one side only
+            # deletions apply one at a time so mutual twins lose one side only.
+            # Whether v is dominated depends only on the alive vertices
+            # within distance 2 of v, so the pass checks, in ascending
+            # order, the vertices within distance 2 of a change
+            pending = changed & alive
+            if pending != alive:
+                rest = pending
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    pending |= adj[low.bit_length() - 1]
+                pending &= alive
+            changed = 0
             dropped = 0
-            for v in _bits(alive):
-                closed_v = (adj[v] | (1 << v)) & alive
-                for u in _bits(adj[v] & alive):
-                    if not ((adj[u] | (1 << u)) & alive) & ~closed_v:
-                        alive &= ~(1 << v)
-                        dropped |= 1 << v
+            while pending:
+                vbit = pending & -pending
+                pending ^= vbit
+                row = adj[vbit.bit_length() - 1] & alive
+                closed_v = row | vbit
+                rest = row
+                while rest:
+                    ubit = rest & -rest
+                    rest ^= ubit
+                    if not (adj[ubit.bit_length() - 1] & alive | ubit) & ~closed_v:
+                        alive ^= vbit
+                        dropped |= vbit
+                        # the pass reaches the vertices above v whose
+                        # distance-2 ball this deletion changed
+                        near = row
+                        while row:
+                            low = row & -row
+                            row ^= low
+                            near |= adj[low.bit_length() - 1]
+                        pending |= near & alive & -vbit
                         break
             if not dropped:
                 break
@@ -242,18 +313,22 @@ class _Solver:
         return count, picked, folds, alive
 
     def _untranslate(self, witness: int, picked: int, folds) -> int:
+        adj = self.adj
         witness |= picked
         for f, v, u, w, new_row in reversed(folds):
-            if witness >> f & 1:
-                witness = (witness & ~(1 << f)) | (1 << u) | (1 << w)
+            fbit = 1 << f
+            if witness & fbit:
+                witness = (witness ^ fbit) | (1 << u) | (1 << w)
             else:
                 witness |= 1 << v
-            for t in _bits(new_row):
-                self.adj[t] &= ~(1 << f)
+            while new_row:
+                low = new_row & -new_row
+                new_row ^= low
+                adj[low.bit_length() - 1] ^= fbit
             self.free.append(f)
         return witness
 
-    def solve(self, alive: int, cap: int, lb: int):
+    def solve(self, alive: int, cap: int, lb: int, touched: int | None = None):
         """Branch and bound over G[alive].
 
         Contract: when alpha(G[alive]) > lb the return is (alpha, witness),
@@ -263,12 +338,25 @@ class _Solver:
         total known anywhere, minus the vertices already committed on this
         path.  Two answers spend no search node: (0, 0) when cap <= 0 (the
         empty set reaches it) or |alive| <= lb (nothing here can beat lb).
+
+        touched is None, or the vertices of alive whose neighborhood in
+        G[alive] differs from the one they had in a fixpoint of _reduce
+        that held alive; a child gets 0 for a component, the alive
+        neighbors of N(v) for the branch that takes v, and N(v) for the
+        one that skips it.  Reducing from touched is exact, not a
+        heuristic: at a fixpoint every vertex has degree >= 3 and is
+        undominated, a reduction never raises a degree (a fold trades u
+        and w for f), and each change pushes the vertices whose degree it
+        lowered and marks those whose domination it can affect, so the
+        vertices skipped are exactly those a full pass would find
+        unchanged.  Takes, folds, fold slots, witnesses and node counts
+        are those of touched = None.
         """
         if cap <= 0 or alive.bit_count() <= lb:
             return 0, 0
         self.budget.spend()
         adj = self.adj
-        count, picked, folds, alive = self._reduce(alive)
+        count, picked, folds, alive = self._reduce(alive, touched)
 
         if not alive or count >= cap:
             return count, self._untranslate(0, picked, folds)
@@ -285,7 +373,7 @@ class _Solver:
             for i, comp in enumerate(comps):
                 rest_bound -= bounds[i]
                 sub_lb = lb - total - rest_bound
-                s, w = self.solve(comp, cap - total, sub_lb)
+                s, w = self.solve(comp, cap - total, sub_lb, 0)
                 total += s
                 wit |= w
                 if s <= sub_lb:
@@ -302,8 +390,16 @@ class _Solver:
         # branch on the max-degree, lowest-id vertex of the smallest clique
         best_v = _max_degree_vertex(adj, clique, alive)
         vbit = 1 << best_v
+        row = adj[best_v] & alive
 
-        s1, w1 = self.solve(alive & ~(adj[best_v] | vbit), cap - count - 1, lb - count - 1)
+        taken = alive & ~(row | vbit)
+        near = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near |= adj[low.bit_length() - 1]
+        s1, w1 = self.solve(taken, cap - count - 1, lb - count - 1, near & taken)
         best = 1 + s1
         best_wit = w1 | vbit
         if count + best >= cap:
@@ -312,7 +408,7 @@ class _Solver:
         new_lb = max(lb, count + best)
         rest = alive & ~vbit
         if count + _clique_cover(adj, rest)[0] > new_lb:
-            s2, w2 = self.solve(rest, cap - count, new_lb - count)
+            s2, w2 = self.solve(rest, cap - count, new_lb - count, row)
             if s2 > best:
                 best = s2
                 best_wit = w2
@@ -464,10 +560,26 @@ _CASES = 64
 
 
 def _unpack(packed: int, shift: int) -> tuple[int, ...]:
-    """Coefficients of a polynomial packed as its value at x = 2**shift."""
-    digits = format(packed, "b")
-    return tuple(int(digits[max(end - shift, 0):end], 2)
-                 for end in range(len(digits), 0, -shift))
+    """Coefficients of a polynomial packed as its value at x = 2**shift.
+
+    The int is split in halves of whole digits, low half first, down to
+    runs of at most 8 digits, so each split costs time linear in its size
+    and the whole unpacking about n log n, not the n**2 of peeling one
+    digit at a time off the full int."""
+    low_digit = (1 << shift) - 1
+    out: list[int] = []
+    todo = [(packed, max(-(-packed.bit_length() // shift), 1))]
+    while todo:
+        value, digits = todo.pop()
+        if digits <= 8:
+            for _ in range(digits):
+                out.append(value & low_digit)
+                value >>= shift
+        else:
+            half = digits // 2 * shift
+            todo.append((value >> half, digits - digits // 2))
+            todo.append((value & ((1 << half) - 1), digits // 2))
+    return tuple(out)
 
 
 class _Elimination:

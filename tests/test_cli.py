@@ -231,6 +231,11 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, ["alpha", str(tmp_path / "missing.edges")])
     assert code == 2
+    # a header past the stated vertex limit is refused before any allocation
+    huge = tmp_path / "huge.edges"
+    huge.write_text("400000000 0\n")
+    code, out, err = run(capsys, ["alpha", str(huge)])
+    assert code == 2 and out == "" and "limit of 16777216 vertices" in err
     code, out, err = run(capsys, ["sweep", p4_file, "--thetas", "1", "--precision", "-1"])
     assert code == 2 and out == "" and "precision" in err
     code, out, err = run(capsys, ["throughput", p4_file, "--theta", "1e999999999"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgraph import mis
-from bgraph.graph import Graph, disjoint_union, induced_subgraph, is_independent
+from bgraph.graph import Graph, _bits, disjoint_union, induced_subgraph, is_independent
 from bgraph.mis import (
     BudgetExceededError,
     IndependencePolynomial,
@@ -245,6 +245,148 @@ def test_budget_generous_still_exact():
     assert max_independent_set(g, budget=10_000).alpha == 5
 
 
+# -- incremental reductions ------------------------------------------------
+
+def _disk_graph(rng: random.Random, n: int, side: int) -> Graph:
+    """Radios at integer points of a side x side square, in conflict within
+    distance 10: a unit-disk graph."""
+    pts = [(rng.randrange(side), rng.randrange(side)) for _ in range(n)]
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if (pts[i][0] - pts[j][0]) ** 2
+                                + (pts[i][1] - pts[j][1]) ** 2 <= 100])
+
+
+def _g_phi_graphs() -> list[Graph]:
+    from bgraph.reduce3sat import build_g_phi, parse_pmr3sat
+    from test_reduce3sat import TINY_SAT, UNSAT_DOC
+
+    return [build_g_phi(parse_pmr3sat(text), apply_t3=t3)[0]
+            for text in (TINY_SAT[0], TINY_SAT[1], UNSAT_DOC) for t3 in (False, True)]
+
+
+def _reduction_inputs() -> list[Graph]:
+    """Seeded sparse G(n <= 40, p), where folds chain, unit-disk graphs,
+    where domination fires, and G_phi with and without t3."""
+    rng = random.Random(19)
+    graphs = [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.15, 0.3]))
+              for _ in range(40)]
+    graphs += [_disk_graph(rng, rng.randint(5, 40), rng.choice([30, 50])) for _ in range(15)]
+    return graphs + _g_phi_graphs()
+
+
+class _CheckedSolver(mis._Solver):
+    """Reduces every search node twice: from scratch on a copy of the fold
+    state, then from the node's touched vertices; both must reach the same
+    fixpoint with the same folds and fold rows, and in it every vertex
+    has degree >= 3 and no neighbor whose closed neighborhood lies in its
+    own."""
+
+    incremental = 0
+
+    def _reduce(self, alive, touched):
+        adj, free = list(self.adj), list(self.free)
+        expected = super()._reduce(alive, None)
+        expected_adj = list(self.adj)
+        self.adj[:] = adj
+        self.free[:] = free
+        got = super()._reduce(alive, touched)
+        assert got == expected
+        assert self.adj == expected_adj
+        fixpoint = got[3]
+        for v in _bits(fixpoint):
+            row = self.adj[v] & fixpoint
+            assert row.bit_count() >= 3
+            for u in _bits(row):
+                assert (self.adj[u] & fixpoint) & ~row & ~(1 << v)
+        _CheckedSolver.incremental += touched is not None
+        return got
+
+
+class _FullSolver(mis._Solver):
+    """Reduces every search node from scratch."""
+
+    def solve(self, alive, cap, lb, touched=None):
+        return super().solve(alive, cap, lb, None)
+
+
+def test_incremental_reduction_reaches_the_full_fixpoint(monkeypatch):
+    from bgraph import extendability
+
+    monkeypatch.setattr(extendability, "_Solver", _CheckedSolver)
+    _CheckedSolver.incremental = 0
+    for g in _reduction_inputs():
+        alpha = max_independent_set(g).alpha
+        extendability.is_one_extendable(g)
+        if g.n <= 40:  # on G_phi every one of the n vertices is queried
+            extendability.param_one_extendability(g, alpha + 1)
+        assert _CheckedSolver(g, None).maximum((1 << g.n) - 1).bit_count() == alpha
+    assert _CheckedSolver.incremental > 500
+
+
+def _reports_and_nodes(monkeypatch, solver: type) -> list:
+    """Every report of the scan on the reduction inputs, each with the
+    search nodes it spent, with extendability building solvers of class
+    solver."""
+    from bgraph import extendability
+    from bgraph.csma import starvation_report
+
+    made: list[mis._Solver] = []
+
+    class Recording(solver):
+        def __init__(self, g, budget):
+            super().__init__(g, budget)
+            made.append(self)
+
+    monkeypatch.setattr(extendability, "_Solver", Recording)
+    big = 1 << 40
+    out = []
+    for g in _reduction_inputs():
+        alpha = max_independent_set(g).alpha
+        runs = [lambda: extendability.is_one_extendable(g, big).to_json(),
+                lambda: extendability.is_one_extendable(g, big, True).to_json(),
+                lambda: starvation_report(g, big)]
+        if g.n <= 40:
+            runs += [lambda k=k: extendability.param_one_extendability(g, k, big)
+                     for k in range(max(alpha - 1, 0), alpha + 2)]
+        for run in runs:
+            made.clear()
+            out.append((run(), sum(big - s.budget.remaining for s in made)))
+    return out
+
+
+def test_both_children_of_every_branch_reduce_as_from_scratch():
+    # from a root fixpoint, each child reduced from the touched vertices
+    # that solve hands it equals the child reduced from scratch; this
+    # reaches vertices that a deletion earlier in the same domination pass
+    # makes dominated
+    for seed in range(1000, 1500):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(8, 30), rng.choice([0.1, 0.15, 0.2, 0.3, 0.4]))
+        solver = mis._Solver(g, None)
+        *_, fixpoint = solver._reduce((1 << g.n) - 1, None)
+        adj, free = list(solver.adj), list(solver.free)
+        for b in _bits(fixpoint):
+            row = adj[b] & fixpoint
+            near = 0
+            for x in _bits(row):
+                near |= adj[x]
+            taken = fixpoint & ~(row | 1 << b)
+            for alive, touched in ((taken, near & taken), (fixpoint & ~(1 << b), row)):
+                results = []
+                for t in (None, touched):
+                    solver.adj[:] = adj
+                    solver.free[:] = free
+                    results.append((solver._reduce(alive, t), list(solver.adj)))
+                assert results[1] == results[0]
+
+
+def test_incremental_reductions_keep_reports_and_node_counts(monkeypatch):
+    full = _reports_and_nodes(monkeypatch, _FullSolver)
+    incremental = _reports_and_nodes(monkeypatch, mis._Solver)
+    assert incremental == full
+    assert sum(nodes for _, nodes in full) > 1000
+
+
 # -- the elimination engine behind both polynomial entry points -------------
 
 ALL = 1 << 40  # an _ENGINE_ENTRIES that sends every graph to the engine
@@ -459,6 +601,24 @@ def test_neighborhood_polynomials_of_a_long_path_closed_form():
     for v in range(n):
         expected = _poly_product(path_poly(max(v - 1, 0)), path_poly(max(n - v - 2, 0)))
         assert parts[v].coefficients == expected
+
+
+def test_unpack_matches_a_digit_by_digit_reference():
+    def reference(packed: int, shift: int) -> tuple[int, ...]:
+        digits = []
+        while packed:
+            packed, digit = divmod(packed, 1 << shift)
+            digits.append(digit)
+        return tuple(digits) or (0,)
+
+    rng = random.Random(5)
+    for shift in range(1, 71):
+        for length in (1, 2, 7, 8, 9, 16, 17, 40, rng.randint(1, 300)):
+            coefficients = [rng.choice([0, 1, rng.randrange(1 << shift)])
+                            for _ in range(length - 1)] + [rng.randrange(1, 1 << shift)]
+            packed = sum(c << i * shift for i, c in enumerate(coefficients))
+            assert mis._unpack(packed, shift) == reference(packed, shift) == tuple(coefficients)
+    assert mis._unpack(0, 5) == reference(0, 5) == (0,)
 
 
 def test_engine_budget_counts_table_entries_and_never_answers_partially():
