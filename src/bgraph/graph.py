@@ -367,7 +367,7 @@ class _DegreeQueue:
 
 def _max_degree_vertex(adj: Sequence[int], candidates: int, alive: int) -> int:
     """The vertex of candidates with the most neighbors in alive (lowest id
-    breaks ties); adj may carry rows beyond the host graph's vertices."""
+    breaks ties)."""
     best = -1
     best_deg = -1
     for v in _bits(candidates):

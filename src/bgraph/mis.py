@@ -1,9 +1,11 @@
 """Exact maximum-independent-set machinery.
 
 Branch and bound with a greedy clique-cover upper bound, connected-component
-splitting, and exact degree-0/1/2 and domination reductions (including
-vertex folding).  Everything is deterministic: ties break toward the lowest
-vertex id, so witnesses are reproducible.
+splitting, mirror branching, and exact degree-0/1/2 and domination
+reductions.  A degree-2 fold merges the path u - v - w into u in place, so
+every mask stays within the host graph's n bits.  Everything is
+deterministic: ties break toward the lowest vertex id, so witnesses are
+reproducible.
 
 Reductions are incremental: each search node is handed the vertices whose
 neighborhood its branch changed (touched), and re-examines only those for
@@ -152,16 +154,14 @@ class _Solver:
     """Exact MIS queries over bitmask subproblems of one host graph.
 
     One solver serves a whole request, so its budget caps the search nodes
-    of all its queries together.  Vertex folding appends temporary vertices
-    to the adjacency table; fold slots are released LIFO when their search
-    node finishes, so masks stay short-lived and bounded, and every query
-    numbers its fold slots as a fresh solver would.
+    of all its queries together.  A fold rewrites the adjacency table in
+    place and its search node undoes it before returning, so every query
+    starts from the host graph's rows and no mask grows past its n bits.
     """
 
     def __init__(self, g: Graph, budget: int | None):
         self.adj: list[int] = list(g.adj)
         self.budget = _Budget(budget)
-        self.free: list[int] = []
 
     def maximum(self, alive: int) -> int:
         """A maximum independent set of G[alive], as a mask."""
@@ -175,15 +175,6 @@ class _Solver:
         size, wit = self.solve(alive, k, k - 1)
         return _lowest(wit, k) if size >= k else None
 
-    def _alloc(self, row: int) -> int:
-        if self.free:
-            f = self.free.pop()
-            self.adj[f] = row
-        else:
-            f = len(self.adj)
-            self.adj.append(row)
-        return f
-
     def _reduce(self, alive: int, touched: int | None):
         """Apply degree-0/1/2 and domination reductions to fixpoint.
 
@@ -194,9 +185,14 @@ class _Solver:
         passes check only what lies within distance 2 of a change since
         the pass before.  This is exact, see solve.
 
+        A degree-2 vertex v whose neighbors u < w are not adjacent is
+        folded into u: u takes over w's edges, v and w leave alive, and
+        u in a solution later stands for {u, w}, u outside it for {v}.
+
         Returns (count, picked, folds, alive): count vertices are already
-        decided into the solution; picked holds non-fold decisions and fold
-        bookkeeping rewrites the rest at translation time.
+        decided into the solution; picked holds the takes, and the folds,
+        each (u, v, w, u's old row, the vertices that gained u), are undone
+        by _untranslate, which also maps a witness back through them.
         """
         adj = self.adj
         count = 0
@@ -250,24 +246,25 @@ class _Solver:
                     count += 1
                     drop(closed)
                     continue
-                # fold the induced path u - v - w into one vertex f
-                new_row = (adj[u] | adj[w]) & alive & ~closed
-                alive &= ~closed
-                f = self._alloc(new_row)
-                fbit = 1 << f
-                alive |= fbit
+                # fold the induced path u - v - w into u: u stands for the
+                # choice between {u, w} and {v}, so it takes over w's edges
+                old_row = adj[u]
+                new_row = (old_row | adj[w]) & alive & ~closed
+                alive ^= 1 << v | 1 << w
+                adj[u] = new_row
+                ubit = 1 << u
                 count += 1
-                folds.append((f, v, u, w, new_row))
-                changed |= new_row | fbit
-                # push f, then its neighbors in ascending order
+                folds.append((u, v, w, old_row, new_row & ~old_row))
+                changed |= new_row | ubit
+                # push u, then its neighbors in ascending order
                 if new_row.bit_count() <= 2:
-                    stack.append(f)
+                    stack.append(u)
                 rest = new_row
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     t = low.bit_length() - 1
-                    adj[t] |= fbit
+                    adj[t] |= ubit
                     if (adj[t] & alive).bit_count() <= 2:
                         stack.append(t)
             # domination: drop v when a live neighbor's closed neighborhood
@@ -313,19 +310,18 @@ class _Solver:
         return count, picked, folds, alive
 
     def _untranslate(self, witness: int, picked: int, folds) -> int:
+        """Undo this node's folds, last first, and map witness back: a fold
+        vertex u in the witness stands for u and w, one outside it for v."""
         adj = self.adj
         witness |= picked
-        for f, v, u, w, new_row in reversed(folds):
-            fbit = 1 << f
-            if witness & fbit:
-                witness = (witness ^ fbit) | (1 << u) | (1 << w)
-            else:
-                witness |= 1 << v
-            while new_row:
-                low = new_row & -new_row
-                new_row ^= low
-                adj[low.bit_length() - 1] ^= fbit
-            self.free.append(f)
+        for u, v, w, old_row, gained in reversed(folds):
+            witness |= 1 << (w if witness >> u & 1 else v)
+            adj[u] = old_row
+            ubit = 1 << u
+            while gained:
+                low = gained & -gained
+                gained ^= low
+                adj[low.bit_length() - 1] ^= ubit
         return witness
 
     def solve(self, alive: int, cap: int, lb: int, touched: int | None = None):
@@ -339,18 +335,26 @@ class _Solver:
         path.  Two answers spend no search node: (0, 0) when cap <= 0 (the
         empty set reaches it) or |alive| <= lb (nothing here can beat lb).
 
+        The branch on v takes v, or skips v together with its mirrors:
+        the vertices u at distance 2 for which N(v) - N(u) is a clique.  A
+        maximum independent set that avoids v but holds a mirror u meets
+        N(v) only in that clique, so in at most one vertex, and swapping it
+        for v gives a maximum set that takes v (Fomin, Grandoni & Kratsch,
+        JACM 2009): alpha(G) is the larger of 1 + alpha(G - N[v]) and
+        alpha(G - v - mirrors).
+
         touched is None, or the vertices of alive whose neighborhood in
         G[alive] differs from the one they had in a fixpoint of _reduce
         that held alive; a child gets 0 for a component, the alive
-        neighbors of N(v) for the branch that takes v, and N(v) for the
-        one that skips it.  Reducing from touched is exact, not a
-        heuristic: at a fixpoint every vertex has degree >= 3 and is
-        undominated, a reduction never raises a degree (a fold trades u
-        and w for f), and each change pushes the vertices whose degree it
-        lowered and marks those whose domination it can affect, so the
-        vertices skipped are exactly those a full pass would find
-        unchanged.  Takes, folds, fold slots, witnesses and node counts
-        are those of touched = None.
+        neighbors of N(v) for the branch that takes v, and N(v) together
+        with N(mirrors) for the one that skips them.  Reducing from touched
+        is exact, not a heuristic: at a fixpoint every vertex has degree
+        >= 3 and is undominated, a reduction raises no degree but the fold
+        vertex u's, which the fold pushes and marks itself, and each
+        change pushes the vertices whose degree it lowered and marks those
+        whose domination it can affect, so the vertices skipped are
+        exactly those a full pass would find unchanged.  Takes, folds,
+        witnesses and node counts are those of touched = None.
         """
         if cap <= 0 or alive.bit_count() <= lb:
             return 0, 0
@@ -406,9 +410,25 @@ class _Solver:
             return count + best, self._untranslate(best_wit, picked, folds)
 
         new_lb = max(lb, count + best)
-        rest = alive & ~vbit
+        touched = row
+        skipped = vbit
+        cand = near & taken  # the vertices at distance 2
+        while cand:
+            ubit = cand & -cand
+            cand ^= ubit
+            u_row = adj[ubit.bit_length() - 1]
+            rest = row & ~u_row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if rest & ~adj[low.bit_length() - 1]:
+                    break
+            else:  # N(v) - N(u) is a clique: u mirrors v
+                skipped |= ubit
+                touched |= u_row
+        rest = alive & ~skipped
         if count + _clique_cover(adj, rest)[0] > new_lb:
-            s2, w2 = self.solve(rest, cap - count, new_lb - count, row)
+            s2, w2 = self.solve(rest, cap - count, new_lb - count, touched & rest)
             if s2 > best:
                 best = s2
                 best_wit = w2

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from math import comb
 from unittest import mock
 
@@ -275,20 +275,19 @@ def _reduction_inputs() -> list[Graph]:
 
 
 class _CheckedSolver(mis._Solver):
-    """Reduces every search node twice: from scratch on a copy of the fold
-    state, then from the node's touched vertices; both must reach the same
-    fixpoint with the same folds and fold rows, and in it every vertex
-    has degree >= 3 and no neighbor whose closed neighborhood lies in its
-    own."""
+    """Reduces every search node twice: from scratch on a copy of the
+    adjacency rows, then from the node's touched vertices; both must reach
+    the same fixpoint with the same folds and fold rows, and in it every
+    vertex has degree >= 3 and no neighbor whose closed neighborhood lies
+    in its own."""
 
     incremental = 0
 
     def _reduce(self, alive, touched):
-        adj, free = list(self.adj), list(self.free)
+        adj = list(self.adj)
         expected = super()._reduce(alive, None)
         expected_adj = list(self.adj)
         self.adj[:] = adj
-        self.free[:] = free
         got = super()._reduce(alive, touched)
         assert got == expected
         assert self.adj == expected_adj
@@ -354,30 +353,144 @@ def _reports_and_nodes(monkeypatch, solver: type) -> list:
     return out
 
 
+def _mirrors(adj, alive: int, v: int) -> int:
+    """The mirrors of v in G[alive], as a mask: the vertices u at distance
+    2 from v for which N(v) - N(u) is a clique."""
+    row = adj[v] & alive
+    out = 0
+    for u in _bits(alive & ~row & ~(1 << v)):
+        rest = list(_bits(row & ~adj[u]))
+        if adj[u] & row and all(adj[a] >> b & 1 for a, b in combinations(rest, 2)):
+            out |= 1 << u
+    return out
+
+
+def test_mirror_branching_matches_brute_force():
+    # alpha(G) = max(1 + alpha(G - N[v]), alpha(G - v - mirrors(v)))
+    mirrors = 0
+    for g in random_graph_suite(seed=2009, count=150, max_n=14, min_n=1):
+        alpha = brute_alpha(g)
+        for v in range(g.n):
+            m = _mirrors(g.adj, (1 << g.n) - 1, v)
+            mirrors += m.bit_count()
+            take = 1 + brute_alpha(g, forced_out=(v, *g.neighbors(v)))
+            skip = brute_alpha(g, forced_out=(v, *_bits(m)))
+            assert alpha == max(take, skip)
+    assert mirrors > 500
+
+
 def test_both_children_of_every_branch_reduce_as_from_scratch():
     # from a root fixpoint, each child reduced from the touched vertices
     # that solve hands it equals the child reduced from scratch; this
     # reaches vertices that a deletion earlier in the same domination pass
-    # makes dominated
+    # makes dominated, and the skip child also loses b's mirrors
     for seed in range(1000, 1500):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(8, 30), rng.choice([0.1, 0.15, 0.2, 0.3, 0.4]))
         solver = mis._Solver(g, None)
         *_, fixpoint = solver._reduce((1 << g.n) - 1, None)
-        adj, free = list(solver.adj), list(solver.free)
+        adj = list(solver.adj)
         for b in _bits(fixpoint):
             row = adj[b] & fixpoint
             near = 0
             for x in _bits(row):
                 near |= adj[x]
             taken = fixpoint & ~(row | 1 << b)
-            for alive, touched in ((taken, near & taken), (fixpoint & ~(1 << b), row)):
+            skip_touched = row
+            mirrors = _mirrors(adj, fixpoint, b)
+            for u in _bits(mirrors):
+                skip_touched |= adj[u]
+            skipped = fixpoint & ~(mirrors | 1 << b)
+            for alive, touched in ((taken, near & taken), (skipped, skip_touched & skipped)):
                 results = []
                 for t in (None, touched):
                     solver.adj[:] = adj
-                    solver.free[:] = free
                     results.append((solver._reduce(alive, t), list(solver.adj)))
                 assert results[1] == results[0]
+
+
+class _RestoringSolver(mis._Solver):
+    """Checks that every top-level solve leaves the host graph's rows as it
+    found them: folds rewrite rows in place and must be undone."""
+
+    calls = 0
+
+    def __init__(self, g, budget):
+        super().__init__(g, budget)
+        self.host = list(g.adj)
+
+    def solve(self, alive, cap, lb, touched=None):
+        got = super().solve(alive, cap, lb, touched)
+        if touched is None:  # children always get a touched mask
+            assert self.adj == self.host
+            _RestoringSolver.calls += 1
+        return got
+
+
+def test_every_top_level_solve_restores_the_host_rows(monkeypatch):
+    from bgraph import extendability, transforms
+
+    monkeypatch.setattr(extendability, "_Solver", _RestoringSolver)
+    monkeypatch.setattr(transforms, "_Solver", _RestoringSolver)
+    _RestoringSolver.calls = 0
+    for g in _reduction_inputs():
+        full = (1 << g.n) - 1
+        solver = _RestoringSolver(g, None)
+        alpha = solver.maximum(full).bit_count()
+        assert solver.find(full, alpha) is not None and solver.find(full, alpha + 1) is None
+        extendability.is_one_extendable(g)
+        extendability.is_one_extendable(g, None, True)
+        for k in range(max(alpha - 1, 0), alpha + 2):
+            extendability.param_one_extendability(g, k)
+    transforms.gadget_table()
+    assert _RestoringSolver.calls > 1000
+
+
+def _fold_heavy_graphs() -> list[Graph]:
+    """Graphs whose reductions are mostly degree-2 folds: t3 of small
+    random graphs (each vertex becomes an odd path), trees plus at most 4
+    edges, and paths and cycles with chords."""
+    from bgraph.transforms import t3_degree_reduce
+
+    rng = random.Random(21)
+    graphs = []
+    while len(graphs) < 25:
+        g = t3_degree_reduce(random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5])))[0]
+        if 9 <= g.n <= 30:
+            graphs.append(g)
+    for _ in range(25):
+        n = rng.randint(2, 30)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 4))}
+        graphs.append(Graph.from_edges(n, sorted(edges)))
+    for _ in range(25):
+        n = rng.randint(4, 30)
+        edges = {(v, v + 1) for v in range(n - 1)} | ({(0, n - 1)} if rng.random() < 0.5 else set())
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 3))}
+        graphs.append(Graph.from_edges(n, sorted(edges)))
+    return graphs
+
+
+def test_reports_on_fold_heavy_graphs_match_brute_force():
+    from bgraph.extendability import is_one_extendable
+
+    for g in _fold_heavy_graphs():
+        alpha = brute_alpha(g)
+        # alpha(G - N(v)), where v is isolated: it reaches alpha exactly
+        # when v lies in a maximum independent set
+        best = [brute_alpha(g, forced_out=g.neighbors(v)) for v in range(g.n)]
+        for stop in (False, True):
+            rep = is_one_extendable(g, stop_at_first_uncovered=stop)
+            assert rep.alpha == alpha
+            for v in rep.verdicts:
+                assert v.covered == (best[v.vertex] == alpha)
+                if v.covered:
+                    assert len(v.witness) == alpha and v.vertex in v.witness
+                    assert is_independent(g, v.witness)
+                else:
+                    assert v.best_size == best[v.vertex]
+            assert rep.complete == (len(rep.verdicts) == g.n)
+            assert len(rep.verdicts) == g.n or not rep.verdicts[-1].covered
 
 
 def test_incremental_reductions_keep_reports_and_node_counts(monkeypatch):
