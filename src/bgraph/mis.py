@@ -343,18 +343,24 @@ class _Solver:
         JACM 2009): alpha(G) is the larger of 1 + alpha(G - N[v]) and
         alpha(G - v - mirrors).
 
+        A fixpoint that splits is branched in place, one component at a
+        time and one search node per component.  A component needs no
+        reduction of its own: no edge leaves it, so it is a fixpoint too.
+        It must beat lb less what the components before it found and the
+        clique covers of those after it.
+
         touched is None, or the vertices of alive whose neighborhood in
         G[alive] differs from the one they had in a fixpoint of _reduce
-        that held alive; a child gets 0 for a component, the alive
-        neighbors of N(v) for the branch that takes v, and N(v) together
-        with N(mirrors) for the one that skips them.  Reducing from touched
-        is exact, not a heuristic: at a fixpoint every vertex has degree
-        >= 3 and is undominated, a reduction raises no degree but the fold
-        vertex u's, which the fold pushes and marks itself, and each
-        change pushes the vertices whose degree it lowered and marks those
-        whose domination it can affect, so the vertices skipped are
-        exactly those a full pass would find unchanged.  Takes, folds,
-        witnesses and node counts are those of touched = None.
+        that held alive; a child gets the alive neighbors of N(v) for the
+        branch that takes v, and N(v) together with N(mirrors) for the one
+        that skips them.  Reducing from touched is exact, not a heuristic:
+        at a fixpoint every vertex has degree >= 3 and is undominated, a
+        reduction raises no degree but the fold vertex u's, which the fold
+        pushes and marks itself, and each change pushes the vertices whose
+        degree it lowered and marks those whose domination it can affect,
+        so the vertices skipped are exactly those a full pass would find
+        unchanged.  Takes, folds, witnesses and node counts are those of
+        touched = None.
         """
         if cap <= 0 or alive.bit_count() <= lb:
             return 0, 0
@@ -365,74 +371,65 @@ class _Solver:
         if not alive or count >= cap:
             return count, self._untranslate(0, picked, folds)
 
-        comps = _components(adj, alive)
-        if len(comps) > 1:
-            bounds = [_clique_cover(adj, comp)[0] for comp in comps]
-            if count + sum(bounds) <= lb:
-                self._untranslate(0, picked, folds)
-                return 0, 0
-            total = count
-            wit = 0
-            rest_bound = sum(bounds)
-            for i, comp in enumerate(comps):
-                rest_bound -= bounds[i]
-                sub_lb = lb - total - rest_bound
-                s, w = self.solve(comp, cap - total, sub_lb, 0)
-                total += s
-                wit |= w
-                if s <= sub_lb:
-                    self._untranslate(0, picked, folds)
-                    return 0, 0
-                if total >= cap:
-                    break
-            return total, self._untranslate(wit, picked, folds)
-
-        bound, clique = _clique_cover(adj, alive)
-        if count + bound <= lb:
+        parts = [(comp, *_clique_cover(adj, comp)) for comp in _components(adj, alive)]
+        rest_bound = sum(bound for _, bound, _ in parts)
+        if count + rest_bound <= lb:
             self._untranslate(0, picked, folds)
             return 0, 0
-        # branch on the max-degree, lowest-id vertex of the smallest clique
-        best_v = _max_degree_vertex(adj, clique, alive)
-        vbit = 1 << best_v
-        row = adj[best_v] & alive
-
-        taken = alive & ~(row | vbit)
-        near = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            near |= adj[low.bit_length() - 1]
-        s1, w1 = self.solve(taken, cap - count - 1, lb - count - 1, near & taken)
-        best = 1 + s1
-        best_wit = w1 | vbit
-        if count + best >= cap:
-            return count + best, self._untranslate(best_wit, picked, folds)
-
-        new_lb = max(lb, count + best)
-        touched = row
-        skipped = vbit
-        cand = near & taken  # the vertices at distance 2
-        while cand:
-            ubit = cand & -cand
-            cand ^= ubit
-            u_row = adj[ubit.bit_length() - 1]
-            rest = row & ~u_row
+        total = count
+        wit = 0
+        for comp, bound, clique in parts:
+            if len(parts) > 1:
+                self.budget.spend()
+            rest_bound -= bound
+            sub_cap = cap - total
+            sub_lb = lb - total - rest_bound
+            # branch on the max-degree, lowest-id vertex of the smallest clique
+            best_v = _max_degree_vertex(adj, clique, comp)
+            vbit = 1 << best_v
+            row = adj[best_v] & comp
+            taken = comp & ~(row | vbit)
+            near = 0
+            rest = row
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if rest & ~adj[low.bit_length() - 1]:
-                    break
-            else:  # N(v) - N(u) is a clique: u mirrors v
-                skipped |= ubit
-                touched |= u_row
-        rest = alive & ~skipped
-        if count + _clique_cover(adj, rest)[0] > new_lb:
-            s2, w2 = self.solve(rest, cap - count, new_lb - count, touched & rest)
-            if s2 > best:
-                best = s2
-                best_wit = w2
-        return count + best, self._untranslate(best_wit, picked, folds)
+                near |= adj[low.bit_length() - 1]
+            s1, w1 = self.solve(taken, sub_cap - 1, sub_lb - 1, near & taken)
+            best = 1 + s1
+            best_wit = w1 | vbit
+            if best < sub_cap:
+                new_lb = max(sub_lb, best)
+                touched = row
+                skipped = vbit
+                cand = near & taken  # the vertices at distance 2
+                while cand:
+                    ubit = cand & -cand
+                    cand ^= ubit
+                    u_row = adj[ubit.bit_length() - 1]
+                    rest = row & ~u_row
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        if rest & ~adj[low.bit_length() - 1]:
+                            break
+                    else:  # N(v) - N(u) is a clique: u mirrors v
+                        skipped |= ubit
+                        touched |= u_row
+                rest = comp & ~skipped
+                if _clique_cover(adj, rest)[0] > new_lb:
+                    s2, w2 = self.solve(rest, sub_cap, new_lb, touched & rest)
+                    if s2 > best:
+                        best = s2
+                        best_wit = w2
+            if best <= sub_lb:
+                self._untranslate(0, picked, folds)
+                return 0, 0
+            total += best
+            wit |= best_wit
+            if total >= cap:
+                break
+        return total, self._untranslate(wit, picked, folds)
 
 
 def _witness_tuple(mask: int) -> tuple[int, ...]:

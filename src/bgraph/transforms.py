@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, _closed_non_neighborhood
+from .graph import Graph, _closed_non_neighborhood, is_independent
 from .mis import _Solver
 
 
@@ -108,16 +108,13 @@ def t3_degree_reduce(
     """
     delta = max(g.max_degree(), 1)
     ell = 2 * delta - 1
-    order_of: dict[int, tuple[int, ...]] = {}
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        if orders and u in orders:
-            chosen = tuple(orders[u])
-            if sorted(chosen) != sorted(nbrs):
-                raise ValueError(f"order for {u} is not a permutation of its neighbors")
-            order_of[u] = chosen
-        else:
-            order_of[u] = nbrs
+    order_of = {u: g.neighbors(u) for u in range(g.n)}
+    for u, chosen in (orders or {}).items():
+        if u not in order_of:
+            raise ValueError(f"order given for {u!r}, which is not a vertex")
+        if sorted(chosen) != sorted(order_of[u]):
+            raise ValueError(f"order for {u} is not a permutation of its neighbors")
+        order_of[u] = tuple(chosen)
 
     def base(u: int) -> int:
         return u * ell
@@ -312,7 +309,8 @@ def constrained_alpha(
     budget: int | None = None,
 ) -> int:
     """Max independent-set size among sets containing forced_in and avoiding
-    forced_out; -1 when forced_in is not independent."""
+    forced_out; -1 when forced_in is not independent or meets forced_out.
+    A vertex id outside the graph raises ValueError."""
     return _constrained_alpha(_Solver(g, budget), g, forced_in, forced_out)
 
 
@@ -320,16 +318,16 @@ def _constrained_alpha(
     solver: _Solver, g: Graph, forced_in: tuple[int, ...], forced_out: tuple[int, ...]
 ) -> int:
     alive = (1 << g.n) - 1
-    base = 0
-    for v in forced_in:
-        for u in forced_in:
-            if u != v and g.has_edge(u, v):
-                return -1
-        alive &= _closed_non_neighborhood(g, v)
-        base += 1
     for v in forced_out:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
         alive &= ~(1 << v)
-    return base + solver.maximum(alive).bit_count()
+    inside = set(forced_in)
+    if not is_independent(g, inside) or inside.intersection(forced_out):
+        return -1
+    for v in inside:
+        alive &= _closed_non_neighborhood(g, v)
+    return len(inside) + solver.maximum(alive).bit_count()
 
 
 def gadget_table(gadget: GadgetGraph | None = None, budget: int | None = None) -> dict[tuple[int, int], int]:

@@ -37,6 +37,8 @@ def brute_alpha(g: Graph, forced_in=(), forced_out=()) -> int:
         start |= 1 << v
         alive &= ~(g.adj[v] | (1 << v))
     for v in forced_out:
+        if start >> v & 1:
+            return -1
         alive &= ~(1 << v)
 
     base = start.bit_count()

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations, zip_longest
 from math import comb
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,14 +266,27 @@ def _g_phi_graphs() -> list[Graph]:
             for text in (TINY_SAT[0], TINY_SAT[1], UNSAT_DOC) for t3 in (False, True)]
 
 
+def _cubic_unions(rng: random.Random, count: int) -> list[Graph]:
+    """Disjoint unions of 2-4 seeded random cubic graphs on 8, 10 or 12
+    vertices: their search nodes split into components."""
+    unions = []
+    for _ in range(count):
+        parts = [nx.random_regular_graph(3, rng.choice([8, 10, 12]), seed=rng.randrange(10**6))
+                 for _ in range(rng.randint(2, 4))]
+        graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in parts]
+        unions.append(reduce(disjoint_union, graphs))
+    return unions
+
+
 def _reduction_inputs() -> list[Graph]:
     """Seeded sparse G(n <= 40, p), where folds chain, unit-disk graphs,
-    where domination fires, and G_phi with and without t3."""
+    where domination fires, unions of cubic graphs, where nodes split into
+    components, and G_phi with and without t3."""
     rng = random.Random(19)
     graphs = [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.15, 0.3]))
               for _ in range(40)]
     graphs += [_disk_graph(rng, rng.randint(5, 40), rng.choice([30, 50])) for _ in range(15)]
-    return graphs + _g_phi_graphs()
+    return graphs + _cubic_unions(rng, 8) + _g_phi_graphs()
 
 
 class _CheckedSolver(mis._Solver):

@@ -160,6 +160,8 @@ def test_t3_respects_cyclic_orders():
     assert max_independent_set(out_cyclic).alpha == 4
     with pytest.raises(ValueError):
         t3_degree_reduce(g, orders={0: (1, 1)})
+    with pytest.raises(ValueError):
+        t3_degree_reduce(g, orders={3: ()})
 
 
 def test_t3_isolated_vertices_stay_single():
@@ -383,3 +385,20 @@ def test_replace_rejects_bad_specs():
         )
     with pytest.raises(ValueError, match="no crossed"):
         replace_crossings(g, [CrossingSpec((0, 1), ())])
+
+
+def test_constrained_alpha_matches_brute_force_on_repeats_and_overlaps():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert constrained_alpha(g, (0, 0)) == brute_alpha(g, (0, 0)) == 2
+    assert constrained_alpha(g, (0,), (0,)) == brute_alpha(g, (0,), (0,)) == -1
+    for forced_in, forced_out in (((9,), ()), ((), (9,)), ((), (-1,))):
+        with pytest.raises(ValueError):
+            constrained_alpha(g, forced_in, forced_out)
+    rng = random.Random(316)
+    for g in random_graph_suite(seed=317, count=150, max_n=12):
+        def draw():
+            return tuple(rng.randrange(g.n) for _ in range(rng.randint(0, 4)))
+        forced_in, forced_out = draw(), draw()
+        if forced_in and rng.random() < 0.3:  # an overlap
+            forced_out += (rng.choice(forced_in),)
+        assert constrained_alpha(g, forced_in, forced_out) == brute_alpha(g, forced_in, forced_out)
