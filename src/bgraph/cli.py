@@ -76,13 +76,18 @@ def _emit_graph(g: Graph, path: str, layout: tuple[str, DiskLayout] | None = Non
     """Write g to path, and a disk layout to its own path, then report g's
     size, the paths and each part's to_json_dict(), leaving out None parts.
     g is serialized before its file is opened, so a graph that cannot be
-    written leaves no file behind; the parts are converted after the
-    writes, so a large certificate is never held together with g's text."""
+    written leaves no file behind, and a layout that cannot be written
+    removes g's file again; the parts are converted after the writes, so a
+    large certificate is never held together with g's text."""
     _write(path, serialize_graph(g))
     payload = {"n": g.n, "m": g.m, "out": path}
     if layout is not None:
         payload["layout"], disks = layout
-        _write(payload["layout"], serialize_layout(disks))
+        try:
+            _write(payload["layout"], serialize_layout(disks))
+        except BaseException:
+            os.remove(path)
+            raise
     payload.update((key, part.to_json_dict()) for key, part in parts.items() if part is not None)
     _emit(payload)
     return EXIT_OK

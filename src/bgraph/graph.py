@@ -40,6 +40,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _rows(adj: Sequence[int], mask: int) -> int:
+    """The union of adj[x] over the vertices x of mask: every vertex
+    adjacent to some vertex of mask."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        union |= adj[low.bit_length() - 1]
+    return union
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: no self-loops, symmetric adjacency."""
@@ -276,10 +287,7 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
         mask |= 1 << v
-    for v in _bits(mask):
-        if g.adj[v] & mask:
-            return False
-    return True
+    return not _rows(g.adj, mask) & mask
 
 
 def _alive_mask(g: Graph, alive: int | None) -> int:

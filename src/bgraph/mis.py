@@ -41,6 +41,7 @@ from .graph import (
     _DegreeQueue,
     _lowest,
     _max_degree_vertex,
+    _rows,
 )
 
 
@@ -112,10 +113,7 @@ def _components(adj: list[int], alive: int) -> list[int]:
         comp = rest & -rest
         frontier = comp
         while frontier:
-            grow = 0
-            for x in _bits(frontier):
-                grow |= adj[x]
-            frontier = grow & alive & ~comp
+            frontier = _rows(adj, frontier) & alive & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
@@ -209,12 +207,7 @@ class _Solver:
         def drop(mask: int) -> None:
             nonlocal alive, changed
             alive &= ~mask
-            near = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                near |= adj[low.bit_length() - 1]
-            near &= alive
+            near = _rows(adj, mask) & alive
             changed |= near
             while near:
                 low = near & -near
@@ -275,12 +268,7 @@ class _Solver:
             # order, the vertices within distance 2 of a change
             pending = changed & alive
             if pending != alive:
-                rest = pending
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    pending |= adj[low.bit_length() - 1]
-                pending &= alive
+                pending |= _rows(adj, pending) & alive
             changed = 0
             dropped = 0
             while pending:
@@ -297,12 +285,7 @@ class _Solver:
                         dropped |= vbit
                         # the pass reaches the vertices above v whose
                         # distance-2 ball this deletion changed
-                        near = row
-                        while row:
-                            low = row & -row
-                            row ^= low
-                            near |= adj[low.bit_length() - 1]
-                        pending |= near & alive & -vbit
+                        pending |= (row | _rows(adj, row)) & alive & -vbit
                         break
             if not dropped:
                 break
@@ -389,12 +372,7 @@ class _Solver:
             vbit = 1 << best_v
             row = adj[best_v] & comp
             taken = comp & ~(row | vbit)
-            near = 0
-            rest = row
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                near |= adj[low.bit_length() - 1]
+            near = _rows(adj, row)
             s1, w1 = self.solve(taken, sub_cap - 1, sub_lb - 1, near & taken)
             best = 1 + s1
             best_wit = w1 | vbit

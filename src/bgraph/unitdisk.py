@@ -93,11 +93,14 @@ def _exact_decimal(text: str) -> Fraction:
 def _document(text: str):
     """The JSON document bgraph reads formulas, embeddings, layouts and
     crossing specs from: decimals are read exactly, so 1.2 is 6/5 as the
-    string "1.2" is, not the nearest binary float."""
+    string "1.2" is, not the nearest binary float.  A document nested
+    deeper than the parser's recursion allows is refused as input."""
     try:
         return json.loads(text, parse_float=_exact_decimal)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
 
 
 def _objects(value, what: str, error: type[ValueError]) -> list[dict]:

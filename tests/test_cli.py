@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from bgraph.cli import build_parser, main
 from bgraph.extendability import is_one_extendable, param_one_extendability
-from bgraph.graph import parse_graph, serialize_graph
+from bgraph.graph import Graph, parse_graph, serialize_graph
+from bgraph.transforms import g_plus, t2_subdivide, t3_degree_reduce, w1_construction
 from helpers_brute import path_graph, random_graph
 
 
@@ -84,6 +85,34 @@ def test_transform_gap_partition_syntax(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["n"] == 6
+
+
+_STAR = Graph.from_edges(5, [(0, v) for v in range(1, 5)])
+_K2 = Graph.from_edges(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("argv, g, build", [
+    pytest.param(["t2", "--s", "2"], _STAR, lambda g: t2_subdivide(g, 2), id="t2"),
+    pytest.param(["t3"], _STAR, t3_degree_reduce, id="t3"),
+    pytest.param(["gplus", "--r", "1"], _STAR, lambda g: (g_plus(g, 1), None), id="gplus"),
+    pytest.param(["w1", "--cliques", "0|1"], _K2,
+                 lambda g: (w1_construction(g, [(0,), (1,)]), None), id="w1"),
+])
+def test_transform_dispatch(capsys, tmp_path, argv, g, build):
+    src = tmp_path / "g.edges"
+    src.write_text(serialize_graph(g))
+    out_path = tmp_path / "out.edges"
+    kind, *options = argv
+    code, out, _ = run(capsys, ["transform", kind, str(src), *options, "--out", str(out_path)])
+    assert code == 0
+    expected, cert = build(g)
+    assert out_path.read_text() == serialize_graph(expected)
+    payload = json.loads(out)
+    assert (payload["n"], payload["m"]) == (expected.n, expected.m)
+    if cert is None:
+        assert "certificate" not in payload
+    else:
+        assert payload["certificate"] == json.loads(json.dumps(cert.to_json_dict()))
 
 
 def test_gadget_table(capsys):
@@ -254,6 +283,43 @@ def test_input_errors_exit_2(capsys, tmp_path, p4_file):
     for argv in (["alpha", p4_file, "--budget", "-3"], ["limit", p4_file, "--budget", "-1"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and "budget must be non-negative" in err
+    # options a command needs for one choice only, and lists that come out empty
+    written = tmp_path / "written.edges"
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"through": [0, 1], "crossed": 5}]))
+    for argv, message in (
+        (["transform", "gplus", p4_file], "gplus requires --r"),
+        (["transform", "gap", p4_file], "gap requires --cliques"),
+        (["transform", "w1", p4_file], "w1 requires --cliques"),
+        (["transform", "gap", p4_file, "--cliques", "0||1"], "empty clique in partition"),
+        (["kernelize", p4_file, "--k", "2", "--oracle", "krfree"], "krfree oracle requires --r"),
+        (["replace-crossings", p4_file, "--specs", str(specs)], "'crossed' must be a list"),
+    ):
+        code, out, err = run(capsys, [*argv, "--out", str(written)])
+        assert code == 2 and out == "" and message in err
+        assert not written.exists()
+    code, out, err = run(capsys, ["gadget", "emit"])
+    assert code == 2 and out == "" and "gadget emit requires --out" in err
+    code, out, err = run(capsys, ["sweep", p4_file, "--thetas", ","])
+    assert code == 2 and out == "" and "no theta values given" in err
+
+
+def test_unitdisk_failed_write_leaves_no_output(capsys, tmp_path):
+    src = tmp_path / "k2.edges"
+    src.write_text("2 1\n0 1\n")
+    emb = tmp_path / "k2.json"
+    emb.write_text(json.dumps(_K2_EMBEDDING))
+    missing = tmp_path / "missing"
+    out_path, layout_path = tmp_path / "out.edges", tmp_path / "l.json"
+    # the graph is written first, so it is removed again when the layout fails
+    code, out, err = run(capsys, ["unitdisk", str(src), "--embedding", str(emb),
+                                  "--out", str(out_path), "--layout", str(missing / "l.json")])
+    assert code == 2 and out == "" and "No such file or directory" in err
+    assert not out_path.exists()
+    code, out, err = run(capsys, ["unitdisk", str(src), "--embedding", str(emb),
+                                  "--out", str(missing / "out.edges"), "--layout", str(layout_path)])
+    assert code == 2 and out == "" and "No such file or directory" in err
+    assert not layout_path.exists()
 
 
 def _formula(names, legs) -> str:
@@ -264,6 +330,7 @@ def _formula(names, legs) -> str:
 
 
 _ABC = ["a", "b", "c"]
+_DEEP = "[" * 100000 + "]" * 100000
 _K2_EMBEDDING = {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 4, "y": 0}],
                  "edges": [{"u": 0, "v": 1, "bends": []}]}
 
@@ -337,6 +404,9 @@ def _two_edges_embedding(**vertex_3) -> str:
                  id="specs-id-huge-exponent"),
     pytest.param("replace-crossings", json.dumps([{"through": [0, 1], "crossed": [[8, 9]]}]),
                  id="specs-vertex-out-of-range"),
+    # valid JSON, but deeper than the parser's recursion allows
+    *(pytest.param(command, _DEEP, id=f"{command}-nested-too-deeply")
+      for command in ("reduce-3sat", "unitdisk", "verify-disks", "replace-crossings")),
 ])
 def test_malformed_json_exits_2(capsys, tmp_path, command, text):
     code, out, err = _run_document(capsys, tmp_path, command, text)

@@ -31,6 +31,8 @@ def test_parse_p3():
     g = parse_graph("3 2\n0 1\n1 2")
     assert g.n == 3
     assert g.edges() == [(0, 1), (1, 2)]
+    # blank lines are skipped, before the header too
+    assert parse_graph("\n\n2 1\n\n0 1\n").edges() == [(0, 1)]
 
 
 def test_parse_k1():
@@ -52,6 +54,34 @@ def test_parse_out_of_range():
 def test_parse_malformed_line():
     with pytest.raises(GraphParseError, match="line 3"):
         parse_graph("3 2\n0 1\nnope")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 1\n# label x a\n0 1", "line 2: bad label vertex"),
+    ("# label 0 a\n2 0", "line 1: label vertex out of range"),
+    ("2 0\n# label 5 a", "line 2: label vertex out of range"),
+    ("2\n", "line 1: expected header 'n m'"),
+    ("a b\n", "line 1: expected header 'n m'"),
+    ("-1 0\n", "line 1: negative n or m"),
+    ("2 1\n0 x\n", "line 2: expected edge 'u v'"),
+    ("", "line 1: empty document"),
+    ("# only a comment\n", "line 1: empty document"),
+    ("3 2\n0 1\n", "header announced 2 edges, found 1"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(GraphParseError) as caught:
+        parse_graph(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n, edges, labels, message", [
+    (2, [(0, 2)], None, "edge (0,2) out of range for n=2"),
+    (2, [], {5: "a"}, "label for out-of-range vertex 5"),
+])
+def test_from_edges_rejects_out_of_range(n, edges, labels, message):
+    with pytest.raises(ValueError) as caught:
+        Graph.from_edges(n, edges, labels)
+    assert str(caught.value) == message
 
 
 def test_parse_duplicate_edges_collapse():
