@@ -19,7 +19,7 @@ from functools import cache
 
 from .csma import parse_theta, starvation_report, theta_sweep, throughput, throughput_limit
 from .extendability import _verdicts_json, is_one_extendable, param_one_extendability
-from .graph import Graph, parse_graph, serialize_graph
+from .graph import Graph, _serialized, parse_graph
 from .kernelize import kernelize, oracle_degenerate, oracle_krfree
 from .mis import BudgetExceededError, max_independent_set
 from .reduce3sat import build_g_phi, parse_pmr3sat
@@ -79,8 +79,9 @@ def _emit_graph(g: Graph, path: str, layout: tuple[str, DiskLayout] | None = Non
     written leaves no file behind, and a layout that cannot be written
     removes g's file again; the parts are converted after the writes, so a
     large certificate is never held together with g's text."""
-    _write(path, serialize_graph(g))
-    payload = {"n": g.n, "m": g.m, "out": path}
+    text, m = _serialized(g)
+    _write(path, text)
+    payload = {"n": g.n, "m": m, "out": path}
     if layout is not None:
         payload["layout"], disks = layout
         try:

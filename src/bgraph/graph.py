@@ -230,6 +230,11 @@ def serialize_graph(g: Graph) -> str:
     empty one, one with leading or trailing whitespace, or one containing
     a line break.
     """
+    return _serialized(g)[0]
+
+
+def _serialized(g: Graph) -> tuple[str, int]:
+    """serialize_graph(g) and g's edge count, which it lists anyway."""
     edges = g.edges()
     out = [f"{g.n} {len(edges)}"]
     out.extend(f"{u} {v}" for u, v in edges)
@@ -239,7 +244,7 @@ def serialize_graph(g: Graph) -> str:
         if label.strip() != label or label.splitlines() != [label]:
             raise ValueError(f"label of vertex {v} cannot be written: {label!r}")
         out.append(f"# label {v} {label}")
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n", len(edges)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -154,16 +154,18 @@ class _Solver:
     One solver serves a whole request, so its budget caps the search nodes
     of all its queries together.  A fold rewrites the adjacency table in
     place and its search node undoes it before returning, so every query
-    starts from the host graph's rows and no mask grows past its n bits.
+    starts from the host graph's rows, or from the root kernel's after
+    root_fixpoint, and no mask grows past its n bits.
     """
 
     def __init__(self, g: Graph, budget: int | None):
         self.adj: list[int] = list(g.adj)
         self.budget = _Budget(budget)
 
-    def maximum(self, alive: int) -> int:
-        """A maximum independent set of G[alive], as a mask."""
-        alpha, wit = self.solve(alive, alive.bit_count() + 1, -1)
+    def maximum(self, alive: int, touched: int | None = None) -> int:
+        """A maximum independent set of G[alive], as a mask; touched as
+        for solve."""
+        alpha, wit = self.solve(alive, alive.bit_count() + 1, -1, touched)
         assert wit.bit_count() == alpha
         return wit
 
@@ -172,6 +174,27 @@ class _Solver:
         alpha(G[alive]) < k."""
         size, wit = self.solve(alive, k, k - 1)
         return _lowest(wit, k) if size >= k else None
+
+    def root_fixpoint(self):
+        """Reduce the whole graph to a fixpoint K of _reduce, in place and
+        spending no search node, so that later queries ask K.  Returns the
+        host graph's rows, for solve_in, K's rows, and _reduce's (count,
+        picked, folds, alive); _lift maps an independent set of K to one
+        of G.
+
+        A query on K is a search node of G with its reduction already
+        done: maximum(alive, 0) is the root search of G, node for node."""
+        host = list(self.adj)
+        return (host, self.adj, *self._reduce((1 << len(host)) - 1, None))
+
+    def solve_in(self, rows: list[int], alive: int, cap: int, lb: int):
+        """solve over the graph with these rows, which have this solver's
+        n, on this solver's budget."""
+        own, self.adj = self.adj, rows
+        try:
+            return self.solve(alive, cap, lb)
+        finally:
+            self.adj = own
 
     def _reduce(self, alive: int, touched: int | None):
         """Apply degree-0/1/2 and domination reductions to fixpoint.
@@ -190,7 +213,7 @@ class _Solver:
         Returns (count, picked, folds, alive): count vertices are already
         decided into the solution; picked holds the takes, and the folds,
         each (u, v, w, u's old row, the vertices that gained u), are undone
-        by _untranslate, which also maps a witness back through them.
+        by _restore, and _lift maps a witness back through them.
         """
         adj = self.adj
         count = 0
@@ -292,20 +315,21 @@ class _Solver:
             drop(dropped)
         return count, picked, folds, alive
 
-    def _untranslate(self, witness: int, picked: int, folds) -> int:
-        """Undo this node's folds, last first, and map witness back: a fold
-        vertex u in the witness stands for u and w, one outside it for v."""
+    def _restore(self, folds) -> None:
+        """Undo this node's folds, last first."""
         adj = self.adj
-        witness |= picked
-        for u, v, w, old_row, gained in reversed(folds):
-            witness |= 1 << (w if witness >> u & 1 else v)
+        for u, _, _, old_row, gained in reversed(folds):
             adj[u] = old_row
             ubit = 1 << u
             while gained:
                 low = gained & -gained
                 gained ^= low
                 adj[low.bit_length() - 1] ^= ubit
-        return witness
+
+    def _untranslate(self, witness: int, picked: int, folds) -> int:
+        """Undo this node's folds and map witness back through them."""
+        self._restore(folds)
+        return _lift(witness, picked, folds)
 
     def solve(self, alive: int, cap: int, lb: int, touched: int | None = None):
         """Branch and bound over G[alive].
@@ -357,7 +381,7 @@ class _Solver:
         parts = [(comp, *_clique_cover(adj, comp)) for comp in _components(adj, alive)]
         rest_bound = sum(bound for _, bound, _ in parts)
         if count + rest_bound <= lb:
-            self._untranslate(0, picked, folds)
+            self._restore(folds)
             return 0, 0
         total = count
         wit = 0
@@ -401,13 +425,24 @@ class _Solver:
                         best = s2
                         best_wit = w2
             if best <= sub_lb:
-                self._untranslate(0, picked, folds)
+                self._restore(folds)
                 return 0, 0
             total += best
             wit |= best_wit
             if total >= cap:
                 break
         return total, self._untranslate(wit, picked, folds)
+
+
+def _lift(witness: int, picked: int, folds) -> int:
+    """An independent set of the graph that _reduce left, mapped to one of
+    the graph it was handed, |picked| + len(folds) larger: the takes join
+    it, and the folds, last first, add w when u is in it and v when u is
+    not (u stands for {u, w}, its absence for {v})."""
+    witness |= picked
+    for u, v, w, *_ in reversed(folds):
+        witness |= 1 << (w if witness >> u & 1 else v)
+    return witness
 
 
 def _witness_tuple(mask: int) -> tuple[int, ...]:

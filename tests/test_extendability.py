@@ -11,7 +11,14 @@ from bgraph.csma import starvation_report
 from bgraph.extendability import is_one_extendable, param_one_extendability
 from bgraph.graph import Graph, _closed_non_neighborhood, is_independent
 from bgraph.mis import BudgetExceededError, has_k_is_containing, max_independent_set
-from bgraph.transforms import gadget_table
+from bgraph.transforms import (
+    CrossingSpec,
+    gadget_table,
+    replace_crossings,
+    t1_pendant,
+    t2_subdivide,
+    t3_degree_reduce,
+)
 from helpers_brute import (
     brute_alpha,
     brute_has_k_containing,
@@ -20,6 +27,7 @@ from helpers_brute import (
     cycle_graph,
     empty_graph,
     path_graph,
+    random_graph,
     random_graph_suite,
 )
 
@@ -88,23 +96,65 @@ def test_witnesses_are_maximum_independent_sets_containing_vertex():
     assert reused > 0  # the witnesses above include reused ones
 
 
+def _with_twins(rng: random.Random, g: Graph) -> Graph:
+    """g with a twin of each of its first few vertices: same neighbors, and
+    adjacent to its original half of the time (a domination the root
+    reduction drops)."""
+    twins = min(4, g.n)
+    edges = g.edges()
+    for v in range(twins):
+        edges += [(g.n + v, u) for u in g.neighbors(v)]
+        if rng.random() < 0.5:
+            edges.append((v, g.n + v))
+    return Graph.from_edges(g.n + twins, edges)
+
+
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    edges = []
+    offset = 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return Graph.from_edges(offset, edges)
+
+
+def _root_reduction_suite() -> list[Graph]:
+    """Small graphs whose root reduction takes pendants (t1), folds chains
+    into one vertex (t2, t3), drops dominated twins, or splits."""
+    rng = random.Random(2400)
+    graphs = []
+    for _ in range(12):
+        graphs.append(t1_pendant(random_graph(rng, rng.randint(2, 8), 0.4))[0])
+        graphs.append(t2_subdivide(random_graph(rng, rng.randint(2, 5), 0.5), rng.randint(1, 2))[0])
+        graphs.append(t3_degree_reduce(random_graph(rng, rng.randint(2, 5), 0.5))[0])
+        graphs.append(_with_twins(rng, random_graph(rng, rng.randint(3, 9), 0.4)))
+        graphs.append(_disjoint_union([random_graph(rng, rng.randint(1, 7), 0.4)
+                                       for _ in range(rng.randint(2, 3))]))
+    return graphs
+
+
 def test_coverage_and_best_size_match_brute_force():
-    for g in random_graph_suite(seed=26, count=60, max_n=11, min_n=1):
+    # random graphs, and graphs whose root reductions leave kernel
+    # literals of every kind to ask
+    graphs = random_graph_suite(seed=26, count=60, max_n=11, min_n=1) + _root_reduction_suite()
+    for g in graphs:
         alpha = brute_alpha(g)
-        first_uncovered = next(
-            (v for v in range(g.n) if not brute_has_k_containing(g, v, alpha)), None
-        )
+        covered = [brute_has_k_containing(g, v, alpha) for v in range(g.n)]
         for stop in (False, True):
             rep = is_one_extendable(g, stop_at_first_uncovered=stop)
             assert rep.alpha == alpha
-            scanned = g.n if not stop or first_uncovered is None else first_uncovered + 1
+            scanned = g.n if not stop or all(covered) else covered.index(False) + 1
             assert [v.vertex for v in rep.verdicts] == list(range(scanned))
             assert rep.complete == (scanned == g.n)
             for v in rep.verdicts:
-                assert v.covered == brute_has_k_containing(g, v.vertex, alpha)
-                if not v.covered:
+                assert v.covered == covered[v.vertex]
+                if v.covered:
+                    assert len(v.witness) == alpha and v.vertex in v.witness
+                    assert is_independent(g, v.witness)
+                else:
                     # alpha(G - N(v)): forbid exactly the open neighborhood
                     assert v.best_size == brute_alpha(g, forced_out=g.neighbors(v.vertex))
+        assert starvation_report(g) == tuple(v for v in range(g.n) if not covered[v])
 
 
 def test_queries_at_most_n_minus_alpha(monkeypatch):
@@ -251,3 +301,56 @@ def test_report_json_shape():
     assert data["one_extendable"] is True
     assert len(data["vertices"]) == 4
     assert data["vertices"][0]["witness"] == [0, 2]
+
+
+def _host_queries(monkeypatch) -> list[int]:
+    """Record the alive mask of every vertex query asked on the host graph
+    rather than on the root kernel."""
+    asked = []
+    real = mis._Solver.solve_in
+
+    def recording(self, rows, alive, *rest):
+        asked.append(alive)
+        return real(self, rows, alive, *rest)
+
+    monkeypatch.setattr(mis._Solver, "solve_in", recording)
+    return asked
+
+
+def test_uncovered_kernel_vertex_gets_best_size_from_the_kernel(monkeypatch):
+    # vertex 9 is isolated, so the root reduction takes it and leaves the
+    # other nine, all of degree >= 3 and undominated, as the kernel; no fold
+    # touches them, so each question about them is exact on the kernel
+    g = Graph.from_edges(10, [
+        (0, 1), (0, 3), (0, 5), (1, 3), (1, 4), (1, 6), (1, 8), (2, 3), (2, 4),
+        (2, 6), (2, 7), (3, 7), (3, 8), (4, 5), (5, 7), (5, 8), (6, 8), (7, 8),
+    ])
+    _, _, count, picked, folds, kernel = mis._Solver(g, None).root_fixpoint()
+    assert (count, picked, folds, kernel) == (1, 1 << 9, [], (1 << 9) - 1)
+    asked = _host_queries(monkeypatch)
+    rep = is_one_extendable(g)
+    assert asked == []
+    assert rep.uncovered() == (1, 2, 3, 5, 8)
+    for v in rep.verdicts:
+        assert v.covered == brute_has_k_containing(g, v.vertex, rep.alpha)
+        if not v.covered:
+            assert v.best_size == brute_alpha(g, forced_out=g.neighbors(v.vertex)) == 4
+
+
+def test_failed_sufficient_literal_falls_back_to_the_host(monkeypatch):
+    # the crossover gadget spliced into an edge crossing a triangle's edge:
+    # the root reduction folds twice into vertex 4, so "some maximum set of
+    # the kernel holds 4" is only sufficient for 4, and here it fails while
+    # the host graph has a maximum set holding 4
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+    out, _ = replace_crossings(g, [CrossingSpec((0, 1), ((2, 3),))])
+    _, _, _, _, folds, kernel = mis._Solver(out, None).root_fixpoint()
+    assert kernel >> 4 & 1 and [u for u, *_ in folds].count(4) == 2
+    asked = _host_queries(monkeypatch)
+    rep = is_one_extendable(out)
+    assert _closed_non_neighborhood(out, 4) in asked
+    verdict = rep.verdicts[4]
+    assert brute_alpha(out, forced_in=[4]) == rep.alpha == brute_alpha(out)
+    assert verdict.covered and 4 in verdict.witness
+    assert len(verdict.witness) == rep.alpha and is_independent(out, verdict.witness)
+    assert rep.is_one_extendable
